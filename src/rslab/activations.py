@@ -5,41 +5,39 @@ together with per-point class labels and a JSON manifest. The payload is
 32-bit on disk and widened to float64 on load; metric tolerances account for
 the precision loss.
 
-RSAM v1 layout (little-endian):
+RSAM v1 is a `container` file (magic "RSAM"; the manifest is its trailer)
+whose body is, little-endian:
 
-    magic "RSAM" | u16 version | u32 record_count
     per record:
-        u16 name_len | name utf-8 | u32 layer_index | u64 n | u64 p
+        name | u32 layer_index | u64 n | u64 p
         u8 condition (0 benign, 1 adversarial)
-        if adversarial: u8 threat_kind | f64 epsilon
+        if adversarial: u8 threat_kind (index into THREAT_KINDS) | f64 epsilon
         f32[n*p] row-major payload
     u64 label_count (= n) | i32[n] labels
-    u32 manifest_len | manifest JSON utf-8
-    footer: u64 byte offset of the manifest length field
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .errors import (
     AlignmentError,
-    BadMagicError,
     FormatError,
     ManifestError,
     ShapeError,
     TruncatedError,
     ValidationError,
-    VersionError,
 )
 
 MAGIC = b"RSAM"
 VERSION = 1
 
+# The one registry of threat kinds. RSAM stores a threat as its index here,
+# so the order is part of the on-disk format: append, never reorder.
 THREAT_KINDS = ("linf", "l2", "jpeg", "gabor", "snow")
 
 
@@ -157,77 +155,36 @@ _THREAT_CODE = {k: i for i, k in enumerate(THREAT_KINDS)}
 
 def write_dump(aset: ActivationSet, path) -> None:
     """Serialize an ActivationSet to an RSAM file."""
-    parts = [MAGIC, struct.pack("<HI", VERSION, len(aset.records))]
+    body = []
     for r in aset.records:
-        name = r.layer_name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        parts.append(struct.pack("<IQQ", r.layer_index, r.n, r.p))
+        body.append(container.pack_name(r.layer_name))
+        body.append(struct.pack("<IQQ", r.layer_index, r.n, r.p))
         if r.condition.kind == "benign":
-            parts.append(b"\x00")
+            body.append(b"\x00")
         else:
-            parts.append(
+            body.append(
                 struct.pack(
                     "<BBd", 1, _THREAT_CODE[r.condition.threat], r.condition.epsilon
                 )
             )
-        parts.append(np.ascontiguousarray(r.matrix, dtype="<f4").tobytes())
-    parts.append(struct.pack("<Q", aset.n))
-    parts.append(np.ascontiguousarray(aset.labels, dtype="<i4").tobytes())
+        body.append(np.ascontiguousarray(r.matrix, dtype="<f4").tobytes())
+    body.append(struct.pack("<Q", aset.n))
+    body.append(np.ascontiguousarray(aset.labels, dtype="<i4").tobytes())
     manifest = dict(aset.manifest)
     manifest.setdefault("n", aset.n)
     manifest["layers"] = aset.layer_names
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    offset = sum(len(p) for p in parts)
-    parts.append(struct.pack("<I", len(mbytes)))
-    parts.append(mbytes)
-    parts.append(struct.pack("<Q", offset))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-class _Reader:
-    """Bounds-checked cursor over an in-memory file image."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > len(self.buf):
-            raise TruncatedError(
-                f"need {count} bytes at offset {self.pos}, file has {len(self.buf)}"
-            )
-        out = self.buf[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    container.write(path, MAGIC, VERSION, len(aset.records), body, manifest)
 
 
 def read_dump(path) -> ActivationSet:
     """Read an RSAM file back into an ActivationSet (payload widened to f64)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    rd = _Reader(buf)
-    if len(buf) < 4:
-        raise TruncatedError("file shorter than magic")
-    if rd.take(4) != MAGIC:
-        raise BadMagicError("not an RSAM file")
-    (version, count) = rd.unpack("<HI")
-    if version != VERSION:
-        raise VersionError(f"unsupported RSAM version {version}")
-    if count == 0:
+    rd = container.Reader(path, MAGIC, VERSION)
+    if rd.count == 0:
         raise ManifestError("record count is zero")
     records = []
     expected_n = None
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        try:
-            name = rd.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ManifestError(f"record name is not valid UTF-8: {exc}") from exc
+    for _ in range(rd.count):
+        name = rd.name()
         layer_index, n, p = rd.unpack("<IQQ")
         if n == 0 or p == 0:
             raise TruncatedError(f"record {name!r} declares empty {n}x{p} matrix")
@@ -244,43 +201,24 @@ def read_dump(path) -> ActivationSet:
                 raise ManifestError(f"bad condition header: {exc}") from exc
         else:
             raise ManifestError(f"unknown condition byte {cond_byte}")
-        need = n * p * 4
-        if rd.pos + need > len(buf):
-            raise TruncatedError(
-                f"record {name!r} declares {n}x{p} floats past end of file"
-            )
-        mat = np.frombuffer(rd.take(need), dtype="<f4").reshape(n, p)
+        mat = rd.array("<f4", (n, p)).astype(np.float64)
         if expected_n is None:
             expected_n = n
         elif n != expected_n:
             raise ManifestError(f"record {name!r} has n={n}, expected {expected_n}")
-        records.append((name, layer_index, mat.astype(np.float64), cond))
+        records.append((name, layer_index, mat, cond))
     (label_count,) = rd.unpack("<Q")
     if label_count != expected_n:
         raise ManifestError(
             f"label count {label_count} disagrees with record rows {expected_n}"
         )
-    labels = np.frombuffer(rd.take(label_count * 4), dtype="<i4").astype(np.int64)
-    manifest_offset = rd.pos
-    (manifest_len,) = rd.unpack("<I")
-    try:
-        manifest = json.loads(rd.take(manifest_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestError("manifest must be a JSON object")
-    (footer,) = rd.unpack("<Q")
-    if footer != manifest_offset:
-        raise ManifestError(
-            f"footer offset {footer} does not point at the manifest ({manifest_offset})"
-        )
-    if rd.pos != len(buf):
-        raise ManifestError(f"{len(buf) - rd.pos} trailing bytes after footer")
+    labels = rd.array("<i4", (label_count,)).astype(np.int64)
+    manifest = rd.trailer()
     declared = manifest.get("layers")
-    if declared is not None and len(declared) != count:
-        raise ManifestError(
-            f"manifest lists {len(declared)} layers, file has {count} records"
-        )
+    if declared is not None and (
+        not isinstance(declared, list) or len(declared) != rd.count
+    ):
+        raise ManifestError(f"manifest layer list disagrees with {rd.count} records")
     model_id = manifest.get("model_id", "")
     epoch = manifest.get("epoch", "final")
     try:

@@ -2,7 +2,9 @@
 comparison, and full experiment families.
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure,
-5 validation failure. Errors print machine-readable JSON on stderr.
+5 validation failure. Every file reader (datasets, RSCK checkpoints, RSAM
+dumps) raises a FormatError subclass on malformed input, which exits 5.
+Errors print machine-readable JSON on stderr, never a traceback.
 Every command refuses to overwrite an existing non-empty --out unless
 --force is passed, and a single --seed determines every output byte.
 """
@@ -16,12 +18,12 @@ import sys
 import numpy as np
 
 from . import nets
-from .activations import Condition, read_dump, record_activations, write_dump
-from .errors import ConfigError, NumericalError, RslabError, ValidationError
+from .activations import THREAT_KINDS, Condition, read_dump, record_activations, write_dump
+from .errors import ConfigError, NumericalError, RslabError
 from .experiments import ExperimentSpec, run_experiment
 from .nets import Batch
 from .ppm import write_heatmap
-from .simmetrics import MetricKind, crosslayer_matrix
+from .simmetrics import METRIC_NAMES, MetricKind, crosslayer_matrix
 from .threats import ThreatModel, evaluate_accuracy, generate
 from .training import (
     DatasetSpec,
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("attack", help="attack a checkpoint and dump activations")
     a.add_argument("--model", required=True, help="RSCK checkpoint")
-    a.add_argument("--threat", required=True, choices=("linf", "l2", "jpeg", "gabor", "snow"))
+    a.add_argument("--threat", required=True, choices=THREAT_KINDS)
     a.add_argument("--eps", type=float, required=True)
     a.add_argument("--steps", type=int, default=20)
     a.add_argument("--data", required=True)
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--model", required=True)
     r.add_argument("--data", required=True)
     r.add_argument("--condition", default="benign", choices=("benign", "adversarial"))
-    r.add_argument("--threat", choices=("linf", "l2", "jpeg", "gabor", "snow"))
+    r.add_argument("--threat", choices=THREAT_KINDS)
     r.add_argument("--eps", type=float)
     r.add_argument("--limit", type=int, default=0)
     r.add_argument("--seed", type=int, default=0)
@@ -270,10 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="cross-layer similarity between two dumps")
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
-    c.add_argument(
-        "--metric", default="linear_cka",
-        choices=("linear_cka", "online_cka", "mean_cca", "svcca", "procrustes"),
-    )
+    c.add_argument("--metric", default="linear_cka", choices=METRIC_NAMES)
     c.add_argument("--batch", type=int, default=1024, help="online_cka batch size")
     c.add_argument("--passes", type=int, default=3, help="online_cka passes")
     c.add_argument("--seed", type=int, default=0)
@@ -300,8 +299,6 @@ def main(argv=None) -> int:
         return _fail(3, "io", str(exc))
     except NumericalError as exc:
         return _fail(4, "numerical", str(exc))
-    except ValidationError as exc:
-        return _fail(5, "validation", str(exc))
     except RslabError as exc:
         return _fail(5, "validation", str(exc))
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, OSError -> 3,
-NumericalError -> 4, ValidationError (and subclasses) -> 5.
+NumericalError -> 4, every other RslabError -> 5. Every file reader raises a
+FormatError subclass on malformed input, so a corrupt dataset, checkpoint or
+dump exits 5; a missing or unreadable file stays an OSError.
 """
 
 

@@ -88,8 +88,6 @@ def _final_probe(run_dir: str, condition: str):
     path = entry.probe_benign_path if condition == "benign" else entry.probe_adv_path
     if path is None:
         raise ValidationError(f"run {run_dir} has no {condition} probe dump")
-    if not os.path.isabs(path) and not os.path.exists(path):
-        path = os.path.join(run_dir, path)
     return read_dump(path)
 
 

@@ -6,24 +6,32 @@ are all straightforward array code. Convolutions run through im2col and a
 single GEMM in float64; their input gradients use the dilated-correlation
 form so no scatter-adds are needed.
 
-Checkpoints use the RSCK binary format: magic "RSCK", 32-bit parameter
-payload, and a JSON trailer holding the architecture, width, seed, epoch.
+Checkpoints use RSCK v1, a `container` file (magic "RSCK") whose body is,
+little-endian, one record per parameter tensor:
+
+    name ("<layer index>.<b|w>") | u8 ndim | u64[ndim] shape
+    f32[prod(shape)] row-major payload
+
+Tensors come in layer order, "b" before "w" within a layer. The trailer is
+{"arch", "width", "seed", "epoch", "input_shape", "taps", "layers"}, where
+"layers" holds one spec object per layer, e.g. {"kind": "dense", "in": 64,
+"out": 4}; see `_SPEC_KEYS`. The loader checks every tensor against the
+shape its layer spec implies.
 """
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from . import container
 from .errors import (
-    BadMagicError,
     ConfigError,
+    ManifestError,
+    RslabError,
     ShapeError,
-    TruncatedError,
     ValidationError,
-    VersionError,
 )
 
 CHECKPOINT_MAGIC = b"RSCK"
@@ -69,44 +77,35 @@ class ResidualAdd:
     source: int  # index of an earlier layer whose output is added
 
 
+# JSON kind and field keys of each layer spec, in dataclass field order
+_SPEC_KEYS = {
+    Dense: ("dense", ("in", "out")),
+    Conv2d: ("conv2d", ("in", "out", "k", "stride", "pad")),
+    Relu: ("relu", ()),
+    AvgPool: ("avgpool", ("k",)),
+    Flatten: ("flatten", ()),
+    ResidualAdd: ("residual_add", ("source",)),
+}
+_SPEC_BY_KIND = {kind: (cls, keys) for cls, (kind, keys) in _SPEC_KEYS.items()}
+
+
 def _spec_to_json(spec) -> dict:
-    if isinstance(spec, Dense):
-        return {"kind": "dense", "in": spec.in_features, "out": spec.out_features}
-    if isinstance(spec, Conv2d):
-        return {
-            "kind": "conv2d",
-            "in": spec.in_channels,
-            "out": spec.out_channels,
-            "k": spec.kernel,
-            "stride": spec.stride,
-            "pad": spec.pad,
-        }
-    if isinstance(spec, Relu):
-        return {"kind": "relu"}
-    if isinstance(spec, AvgPool):
-        return {"kind": "avgpool", "k": spec.kernel}
-    if isinstance(spec, Flatten):
-        return {"kind": "flatten"}
-    if isinstance(spec, ResidualAdd):
-        return {"kind": "residual_add", "source": spec.source}
-    raise ConfigError(f"unknown layer spec {spec!r}")
+    if type(spec) not in _SPEC_KEYS:
+        raise ConfigError(f"unknown layer spec {spec!r}")
+    kind, keys = _SPEC_KEYS[type(spec)]
+    return {"kind": kind, **dict(zip(keys, astuple(spec)))}
 
 
-def _spec_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "dense":
-        return Dense(d["in"], d["out"])
-    if kind == "conv2d":
-        return Conv2d(d["in"], d["out"], d["k"], d["stride"], d["pad"])
-    if kind == "relu":
-        return Relu()
-    if kind == "avgpool":
-        return AvgPool(d["k"])
-    if kind == "flatten":
-        return Flatten()
-    if kind == "residual_add":
-        return ResidualAdd(d["source"])
-    raise ConfigError(f"unknown layer kind {kind!r}")
+def _spec_from_json(d):
+    if not isinstance(d, dict) or d.get("kind") not in _SPEC_BY_KIND:
+        raise ConfigError(f"unknown layer spec {d!r}")
+    cls, keys = _SPEC_BY_KIND[d["kind"]]
+    args = [d.get(k) for k in keys]
+    for k, v in zip(keys, args):
+        lowest = 0 if k in ("pad", "source") else 1
+        if type(v) is not int or v < lowest:
+            raise ConfigError(f"layer spec {d!r}: {k!r} must be an integer >= {lowest}")
+    return cls(*args)
 
 
 def infer_shapes(layers, input_shape) -> list:
@@ -163,13 +162,15 @@ class NetworkGraph:
     seed: int | None = None
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValidationError("network needs at least one layer")
         self.input_shape = tuple(self.input_shape)
         self.output_shapes = infer_shapes(self.layers, self.input_shape)
         if not self.taps:
             self.taps = tuple(range(len(self.layers)))
         for t in self.taps:
-            if not 0 <= t < len(self.layers):
-                raise ValidationError(f"tap index {t} out of range")
+            if not isinstance(t, (int, np.integer)) or not 0 <= t < len(self.layers):
+                raise ValidationError(f"tap index {t!r} out of range")
         if self.params is not None:
             _check_params(self.layers, self.params)
 
@@ -573,50 +574,29 @@ def make_network(
     return net
 
 
-def stage_taps(net: NetworkGraph) -> list:
-    """Representative tap per residual stage (end-of-stage relu), in order.
-
-    For non-residual nets, falls back to the relu taps.
-    """
-    idx = [
-        i
-        for i, s in enumerate(net.layers)
-        if isinstance(s, Relu) and i > 0 and isinstance(net.layers[i - 1], ResidualAdd)
-    ]
-    if idx:
-        return idx
-    return [i for i, s in enumerate(net.layers) if isinstance(s, Relu)]
-
-
-def stage_tap_span(net: NetworkGraph) -> int:
-    """Tap-index span of one residual stage; the default long-range lag."""
-    idx = stage_taps(net)
-    if len(idx) >= 2:
-        return idx[1] - idx[0]
-    return max(1, len(net.layers) // 3)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints (RSCK)
+
+
+def _param_shapes(spec) -> dict:
+    if isinstance(spec, Dense):
+        return {"b": (spec.out_features,), "w": (spec.in_features, spec.out_features)}
+    if isinstance(spec, Conv2d):
+        k = spec.kernel
+        return {"b": (spec.out_channels,), "w": (spec.out_channels, spec.in_channels, k, k)}
+    return {}
 
 
 def save_checkpoint(net: NetworkGraph, path, epoch: int | str = "final") -> None:
     """Write layer specs + parameters to an RSCK file (32-bit payload)."""
     if net.params is None:
         raise ValidationError("cannot checkpoint a network without parameters")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
-    tensors = []
-    for i, p in enumerate(net.params):
-        for key in sorted(p):
-            tensors.append((f"{i}.{key}", p[key]))
-    parts.append(struct.pack("<I", len(tensors)))
+    tensors = [(f"{i}.{key}", p[key]) for i, p in enumerate(net.params) for key in sorted(p)]
+    body = []
     for name, arr in tensors:
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        body.append(container.pack_name(name))
+        body.append(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
+        body.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     trailer = {
         "arch": net.arch,
         "width": net.width_factor,
@@ -626,65 +606,37 @@ def save_checkpoint(net: NetworkGraph, path, epoch: int | str = "final") -> None
         "taps": list(net.taps),
         "layers": [_spec_to_json(s) for s in net.layers],
     }
-    tb = json.dumps(trailer, sort_keys=True).encode("utf-8")
-    offset = sum(len(p) for p in parts)
-    parts.append(struct.pack("<I", len(tb)))
-    parts.append(tb)
-    parts.append(struct.pack("<Q", offset))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(tensors), body, trailer)
 
 
 def load_checkpoint(path) -> NetworkGraph:
     """Read an RSCK file; parameters widen to float64."""
-    from .activations import _Reader  # same bounds-checked cursor
-
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    rd = _Reader(buf)
-    if len(buf) < 4:
-        raise TruncatedError("file shorter than magic")
-    if rd.take(4) != CHECKPOINT_MAGIC:
-        raise BadMagicError("not an RSCK file")
-    (version,) = rd.unpack("<H")
-    if version != CHECKPOINT_VERSION:
-        raise VersionError(f"unsupported RSCK version {version}")
-    (count,) = rd.unpack("<I")
+    rd = container.Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     tensors = {}
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+    for _ in range(rd.count):
+        name = rd.name()
         (ndim,) = rd.unpack("<B")
-        shape = rd.unpack(f"<{ndim}Q")
-        need = int(np.prod(shape)) * 4 if ndim else 4
-        if rd.pos + need > len(buf):
-            raise TruncatedError(f"tensor {name!r} payload past end of file")
-        tensors[name] = (
-            np.frombuffer(rd.take(need), dtype="<f4").reshape(shape).astype(np.float64)
-        )
-    (trailer_len,) = rd.unpack("<I")
+        if ndim > 4:
+            raise ManifestError(f"tensor {name!r} declares {ndim} > 4 dims")
+        tensors[name] = rd.array("<f4", rd.unpack(f"<{ndim}Q")).astype(np.float64)
+    trailer = rd.trailer()
     try:
-        trailer = json.loads(rd.take(trailer_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TruncatedError(f"trailer is not valid JSON: {exc}") from exc
-    layers = [_spec_from_json(d) for d in trailer["layers"]]
-    net = NetworkGraph(
-        layers,
-        tuple(trailer["input_shape"]),
-        width_factor=trailer.get("width", 1),
-        taps=tuple(trailer.get("taps", ())),
-        arch=trailer.get("arch", ""),
-        seed=trailer.get("seed"),
-    )
-    params = []
-    for i in range(len(layers)):
-        p = {}
-        for key in ("b", "w"):
-            if f"{i}.{key}" in tensors:
-                p[key] = tensors[f"{i}.{key}"]
-        params.append(p)
-    net.params = params
-    return net
+        layers = [_spec_from_json(d) for d in trailer["layers"]]
+        shapes = [_param_shapes(spec) for spec in layers]
+        expected = {f"{i}.{k}": s for i, d in enumerate(shapes) for k, s in d.items()}
+        if len(tensors) != rd.count or {n: t.shape for n, t in tensors.items()} != expected:
+            raise ManifestError("tensor names or shapes disagree with the layer specs")
+        return NetworkGraph(
+            layers,
+            tuple(trailer["input_shape"]),
+            params=[{k: tensors[f"{i}.{k}"] for k in d} for i, d in enumerate(shapes)],
+            width_factor=trailer.get("width", 1),
+            taps=tuple(trailer.get("taps", ())),
+            arch=trailer.get("arch", ""),
+            seed=trailer.get("seed"),
+        )
+    except (KeyError, TypeError, ValueError, RslabError) as exc:
+        raise ManifestError(f"RSCK trailer does not match the stored network: {exc!r}") from exc
 
 
 def round_params_f32(net: NetworkGraph) -> NetworkGraph:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,7 +251,7 @@ def procrustes_similarity(x, y, with_flag: bool = False):
     return (val, False) if with_flag else val
 
 
-_METRIC_NAMES = ("linear_cka", "online_cka", "mean_cca", "svcca", "procrustes")
+METRIC_NAMES = ("linear_cka", "online_cka", "mean_cca", "svcca", "procrustes")
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ class MetricKind:
     variance_fraction: float | None = None
 
     def __post_init__(self):
-        if self.name not in _METRIC_NAMES:
+        if self.name not in METRIC_NAMES:
             raise ValidationError(f"unknown metric {self.name!r}")
         if self.name == "online_cka":
             if self.batch is None or self.batch < 2:
@@ -367,6 +366,9 @@ class SimilarityMatrix:
             "n": self.meta.get("n"),
             "model_ids": self.meta.get("model_ids"),
             "conditions": self.meta.get("conditions"),
+            "degenerate": (
+                None if self.degenerate is None else np.argwhere(self.degenerate).tolist()
+            ),
         }
         with open(base_path + ".json", "w") as fh:
             json.dump(sidecar, fh, sort_keys=True, indent=1)
@@ -383,24 +385,19 @@ class SimilarityMatrix:
             sidecar = json.load(fh)
         metric = MetricKind.from_json(sidecar["metric"])
         meta = {k: sidecar.get(k) for k in ("n", "model_ids", "conditions")}
-        return cls(row_names, col_names, values, metric, meta=meta)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RSLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        degenerate = None
+        if sidecar.get("degenerate") is not None:
+            degenerate = np.zeros(values.shape, dtype=bool)
+            for i, j in sidecar["degenerate"]:
+                degenerate[i, j] = True
+        return cls(row_names, col_names, values, metric, degenerate, meta)
 
 
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):
     """Evaluate `metric` over every (layer of a) x (layer of b) pair.
 
     When both sets are the same object the grid is evaluated on the upper
-    triangle and mirrored (every metric here is symmetric). Entries are
-    independent, so they may be computed by a thread pool sized by the
-    RSLAB_THREADS environment variable.
+    triangle and mirrored (every metric here is symmetric).
     """
     if a.n != b.n:
         raise ShapeError(f"probe sizes differ: {a.n} vs {b.n}")
@@ -408,30 +405,16 @@ def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind
     values = np.zeros((na, nb))
     degenerate = np.zeros((na, nb), dtype=bool)
     same = a is b
-    cells = [
-        (i, j) for i in range(na) for j in range(nb) if not (same and j < i)
-    ]
-
-    def run(cell):
-        i, j = cell
-        return cell, metric.evaluate(
-            a.records[i].matrix, b.records[j].matrix, with_flag=True
-        )
-
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(c) for c in cells]
-    for (i, j), (val, flag) in results:
-        values[i, j] = val
-        degenerate[i, j] = flag
-        if same:
-            values[j, i] = val
-            degenerate[j, i] = flag
+    for i in range(na):
+        for j in range(i if same else 0, nb):
+            val, flag = metric.evaluate(
+                a.records[i].matrix, b.records[j].matrix, with_flag=True
+            )
+            values[i, j] = val
+            degenerate[i, j] = flag
+            if same:
+                values[j, i] = val
+                degenerate[j, i] = flag
     meta = {
         "n": a.n,
         "model_ids": [a.manifest.get("model_id"), b.manifest.get("model_id")],

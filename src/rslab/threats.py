@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import THREAT_KINDS
 from .errors import KindError, ShapeError, ValidationError
 from .nets import Batch, NetworkGraph, forward, loss_and_grad, predict
-
-THREAT_KINDS = ("linf", "l2", "jpeg", "gabor", "snow")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nets
 from .activations import Condition, record_activations, write_dump
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .nets import Batch, NetworkGraph
 from .threats import ThreatModel, generate
 
@@ -290,14 +290,23 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    z = np.load(path, allow_pickle=False)
-    spec = DatasetSpec.from_json(json.loads(str(z["spec"])))
-    return Dataset(
-        Batch(z["train_x"].astype(np.float64), z["train_y"]),
-        Batch(z["val_x"].astype(np.float64), z["val_y"]),
-        spec,
-        int(z["seed"]),
-    )
+    """Read a dataset written by `save_dataset`.
+
+    A missing or unreadable file raises OSError; any malformed content
+    raises FormatError.
+    """
+    with open(path, "rb") as fh:
+        try:
+            z = np.load(fh, allow_pickle=False)
+            spec = DatasetSpec.from_json(json.loads(str(z["spec"])))
+            return Dataset(
+                Batch(z["train_x"].astype(np.float64), z["train_y"]),
+                Batch(z["val_x"].astype(np.float64), z["val_y"]),
+                spec,
+                int(z["seed"]),
+            )
+        except Exception as exc:  # np.load and zipfile raise many types on bad bytes
+            raise FormatError(f"{path}: not a valid dataset: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -134,10 +135,31 @@ def test_manifest_record_count_disagreement(tmp_path):
         act.read_dump(path)
 
 
-def test_fuzz_corrupted_headers_never_crash(tmp_path):
-    rng = np.random.default_rng(7)
-    path = tmp_path / "fuzz.rsam"
+def _write_rsam(rng, path):
     act.write_dump(random_set(rng), path)
+
+
+def _write_rsck(rng, path):
+    net = nets.NetworkGraph(
+        [nets.Flatten(), nets.Dense(4, 3), nets.Relu(), nets.Dense(3, 2)], (1, 2, 2)
+    )
+    net.params = nets.init_params(net, int(rng.integers(0, 1000)))
+    nets.save_checkpoint(net, path)
+
+
+# writer and reader of each container format, for the shared corruption tests
+FORMATS = {
+    "rsam": (_write_rsam, act.read_dump),
+    "rsck": (_write_rsck, nets.load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_fuzz_corrupted_headers_never_crash(tmp_path, fmt):
+    write, read = FORMATS[fmt]
+    rng = np.random.default_rng(7)
+    path = tmp_path / f"fuzz.{fmt}"
+    write(rng, path)
     pristine = path.read_bytes()
     for trial in range(300):
         raw = bytearray(pristine)
@@ -146,20 +168,80 @@ def test_fuzz_corrupted_headers_never_crash(tmp_path):
             raw[pos] = int(rng.integers(0, 256))
         path.write_bytes(bytes(raw))
         try:
-            act.read_dump(path)
+            read(path)
         except FormatError:
             pass  # any format error is acceptable; crashes are not
 
 
-def test_truncation_fuzz(tmp_path):
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_truncation_fuzz(tmp_path, fmt):
+    write, read = FORMATS[fmt]
     rng = np.random.default_rng(8)
-    path = tmp_path / "cut.rsam"
-    act.write_dump(random_set(rng), path)
+    path = tmp_path / f"cut.{fmt}"
+    write(rng, path)
     pristine = path.read_bytes()
     for cut in range(0, len(pristine) - 1, max(1, len(pristine) // 64)):
         path.write_bytes(pristine[:cut])
         with pytest.raises(FormatError):
-            act.read_dump(path)
+            read(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_appended_bytes_rejected(tmp_path, fmt):
+    write, read = FORMATS[fmt]
+    rng = np.random.default_rng(13)
+    path = tmp_path / f"tail.{fmt}"
+    write(rng, path)
+    pristine = path.read_bytes()
+    for extra in range(1, 33):
+        path.write_bytes(pristine + rng.bytes(extra))
+        with pytest.raises(ManifestError):
+            read(path)
+
+
+# sha256 of the files below as written by the first RSAM/RSCK writers; any
+# change to either on-disk format shows up here
+GOLDEN_SHA256 = {
+    "rsam": "89ca6d8698ebaa7c5166a610dc39ac7ce8ff5bbd2f2ef631e60046a3a7e7995f",
+    "rsck": "fb4663677cf56f4666d31106a408ea285a74e47d1bc730292bbbdfe3e3a56c14",
+}
+
+
+def test_golden_bytes(tmp_path):
+    m0 = np.arange(12.0).reshape(4, 3) / 8
+    m1 = -np.arange(8.0).reshape(4, 2) / 4
+    dump = act.ActivationSet(
+        [
+            act.ActivationRecord("00_dense", 0, m0, act.Condition.benign()),
+            act.ActivationRecord(
+                "02_relu", 2, m1, act.Condition.adversarial("gabor", 0.25)
+            ),
+        ],
+        np.array([0, 1, 1, 3]),
+        {"model_id": "golden", "seed": 7},
+    )
+    layers = [
+        nets.Conv2d(1, 2, 3, 1, 1), nets.Relu(), nets.ResidualAdd(0),
+        nets.AvgPool(2), nets.Flatten(), nets.Dense(8, 3),
+    ]
+    net = nets.NetworkGraph(layers, (1, 4, 4), taps=(1, 5), arch="golden", seed=3)
+    net.params = [
+        {"w": np.linspace(-1, 1, 18).reshape(2, 1, 3, 3), "b": np.array([0.5, -0.5])},
+        {}, {}, {}, {},
+        {"w": np.linspace(-2, 2, 24).reshape(8, 3), "b": np.array([0.125, 0.25, -1.0])},
+    ]
+    act.write_dump(dump, tmp_path / "g.rsam")
+    nets.save_checkpoint(net, tmp_path / "g.rsck", epoch=4)
+    for fmt, want in GOLDEN_SHA256.items():
+        got = hashlib.sha256((tmp_path / f"g.{fmt}").read_bytes()).hexdigest()
+        assert got == want, fmt
+    assert sets_equal(act.read_dump(tmp_path / "g.rsam"), dump)
+    loaded = nets.load_checkpoint(tmp_path / "g.rsck")
+    assert loaded.layers == layers and loaded.taps == (1, 5)
+    for pa, pb in zip(net.params, loaded.params):
+        assert pa.keys() == pb.keys()
+        for k in pa:
+            assert np.array_equal(pb[k], pa[k].astype(np.float32).astype(np.float64))
 
 
 def test_set_invariants():

@@ -178,6 +178,24 @@ def test_validation_failure_exit_code(pipeline, tmp_path, capsys):
     assert err["error"] == "validation"
 
 
+def test_attack_on_corrupt_dataset_exits_5(pipeline, tmp_path, capsys):
+    _, data_path, _, run_dir = pipeline
+    not_zip = tmp_path / "not_zip.npz"
+    not_zip.write_bytes(b"not a zip archive")
+    no_spec = tmp_path / "no_spec.npz"
+    with np.load(data_path) as z:
+        np.savez(no_spec, **{k: z[k] for k in z.files if k != "spec"})
+    for i, bad in enumerate((not_zip, no_spec)):
+        code = run_cli(
+            "attack", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
+            "--threat", "linf", "--eps", "0.1", "--steps", "1",
+            "--data", str(bad), "--out", str(tmp_path / f"atk{i}"),
+        )
+        assert code == 5, bad
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and str(bad) in err["message"]
+
+
 def test_seed_threading_determinism(pipeline, tmp_path):
     root, data_path, config_path, _ = pipeline
     out_a = str(tmp_path / "ra")

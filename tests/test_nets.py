@@ -1,8 +1,17 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from rslab import nets
-from rslab.errors import BadMagicError, ShapeError, TruncatedError, VersionError
+from rslab.errors import (
+    BadMagicError,
+    ManifestError,
+    ShapeError,
+    TruncatedError,
+    VersionError,
+)
 
 
 def finite_diff_param_grads(net, batch, step=1e-5, stride=7):
@@ -248,6 +257,40 @@ def test_checkpoint_bad_files(tmp_path):
     bad.write_bytes(path.read_bytes()[:40])
     with pytest.raises(TruncatedError):
         nets.load_checkpoint(bad)
+
+
+def _with_trailer(raw: bytes, edit) -> bytes:
+    """The checkpoint image with its JSON trailer edited and the footer kept valid."""
+    (offset,) = struct.unpack("<Q", raw[-8:])
+    (length,) = struct.unpack("<I", raw[offset : offset + 4])
+    trailer = json.loads(raw[offset + 4 : offset + 4 + length])
+    edit(trailer)
+    tb = json.dumps(trailer).encode()
+    return raw[:offset] + struct.pack("<I", len(tb)) + tb + struct.pack("<Q", offset)
+
+
+def test_checkpoint_rejects_inconsistent_files(tmp_path):
+    net = nets.make_network("mlp-3", (1, 4, 4), classes=4, seed=12)
+    path = tmp_path / "ok.rsck"
+    nets.save_checkpoint(net, path)
+    raw = path.read_bytes()
+    (offset,) = struct.unpack("<Q", raw[-8:])
+    name_at = 4 + 2 + 4 + 2  # first tensor name, after header and name length
+    assert raw[name_at : name_at + 3] == b"1.b"
+    cases = {
+        "appended bytes": raw + b"\x00",
+        "footer points elsewhere": raw[:-8] + struct.pack("<Q", offset - 3),
+        "spec disagrees with stored weight": _with_trailer(
+            raw, lambda t: t["layers"][-1].update(out=5)
+        ),
+        "tensor name not utf-8": raw[:name_at] + b"\xff" + raw[name_at + 1 :],
+        "trailer without layers": _with_trailer(raw, lambda t: t.pop("layers")),
+    }
+    bad = tmp_path / "bad.rsck"
+    for image in cases.values():
+        bad.write_bytes(image)
+        with pytest.raises(ManifestError):
+            nets.load_checkpoint(bad)
 
 
 def test_checkpoint_roundtrip_many_random(tmp_path):

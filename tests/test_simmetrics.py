@@ -434,25 +434,23 @@ def test_crosslayer_n_mismatch():
         sm.crosslayer_matrix(make_set(rng, n=6), make_set(rng, n=7), sm.MetricKind.linear_cka())
 
 
-def test_crosslayer_parallel_matches_serial(monkeypatch):
-    rng = np.random.default_rng(34)
-    a = make_set(rng, layers=4, n=12)
-    serial = sm.crosslayer_matrix(a, a, sm.MetricKind.linear_cka())
-    monkeypatch.setenv("RSLAB_THREADS", "4")
-    parallel = sm.crosslayer_matrix(a, a, sm.MetricKind.linear_cka())
-    assert np.array_equal(serial.values, parallel.values)
-
-
 def test_similarity_matrix_save_load(tmp_path):
     rng = np.random.default_rng(35)
     a = make_set(rng)
-    grid = sm.crosslayer_matrix(a, a, sm.MetricKind.linear_cka())
-    base = str(tmp_path / "grid")
-    grid.save(base)
-    loaded = sm.SimilarityMatrix.load(base)
-    assert loaded.row_names == grid.row_names
-    assert np.abs(loaded.values - grid.values).max() <= 1e-9
-    assert loaded.metric == grid.metric
+    # the same set with one constant layer, which linear CKA flags degenerate
+    recs = list(a.records)
+    recs[1] = ActivationRecord("flat", 1, np.ones((a.n, 3)), Condition.benign(), "m")
+    flat = ActivationSet(recs, a.labels, a.manifest)
+    for s in (a, flat):
+        grid = sm.crosslayer_matrix(s, s, sm.MetricKind.linear_cka())
+        base = str(tmp_path / "grid")
+        grid.save(base)
+        loaded = sm.SimilarityMatrix.load(base)
+        assert loaded.row_names == grid.row_names
+        assert np.abs(loaded.values - grid.values).max() <= 1e-9
+        assert loaded.metric == grid.metric
+        assert np.array_equal(loaded.degenerate, grid.degenerate)
+    assert grid.degenerate[1].all() and grid.degenerate.sum() == 2 * len(recs) - 1
 
 
 def test_block_structure_score():
