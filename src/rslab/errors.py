@@ -48,7 +48,7 @@ class KindError(ValidationError):
 
 
 class FormatError(ValidationError):
-    """Binary file violates the on-disk format."""
+    """A file violates its on-disk format."""
 
 
 class BadMagicError(FormatError):

@@ -57,13 +57,30 @@ def nuclear_norm(m) -> float:
     return float(singular_values(m).sum())
 
 
+def gram_factor(m) -> np.ndarray:
+    """An n x min(n, p) matrix with the same Gram m @ m.T as m.
+
+    A wide m (p > n) is replaced by R^T from the QR factorization m^T = Q R,
+    since m = R^T Q^T and Q has orthonormal columns; a tall m is returned
+    as it is.
+    """
+    m = as_matrix(m)
+    if m.shape[1] <= m.shape[0]:
+        return m
+    return np.linalg.qr(m.T, mode="r").T
+
+
 def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     """Project m onto its leading principal directions.
 
     Keeps the smallest number of right singular directions whose cumulative
     squared singular values reach `variance_fraction` of the total, and
-    returns the n x k projection of m onto them. The caller is expected to
-    pass a column-centered matrix.
+    returns the n x k projection U_k S_k of m onto them. The caller is
+    expected to pass a column-centered matrix.
+
+    A wide m (p > n) is factored through the n x n `gram_factor(m)`, whose
+    U and S are those of m, so the SVD is n-sized; this changes no value
+    beyond rounding. A tall m is decomposed directly.
     """
     m = as_matrix(m)
     if not 0.0 < variance_fraction <= 1.0:
@@ -71,7 +88,7 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
             f"variance_fraction must be in (0, 1], got {variance_fraction}"
         )
     try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        u, s, _ = np.linalg.svd(gram_factor(m), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     energy = s * s

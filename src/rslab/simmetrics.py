@@ -5,6 +5,14 @@ center columns internally, and are invariant to orthogonal transformations
 of the columns; the CKA family is additionally invariant to isotropic
 scaling. Degenerate inputs (all-zero after centering) score 0 with an
 explicit flag instead of NaN so downstream grids stay renderable.
+
+Every metric depends on a layer only through its n x n Gram, so each call
+works on the cheaper side of its inputs, chosen from their shapes: when an
+input is wider than the probe is tall (p > n), linear CKA is computed from
+the n x n Grams and Procrustes and SVCCA from an n x n factor with the same
+Gram (`numerics.gram_factor`); tall inputs use the p-sized feature-space
+products. The two forms are equal in exact arithmetic, so the choice changes
+no value beyond rounding.
 """
 from __future__ import annotations
 
@@ -17,12 +25,22 @@ import numpy as np
 from .errors import (
     AlignmentError,
     EmptySelectionError,
+    FormatError,
     InvalidGramError,
+    ManifestError,
     NumericalError,
     ShapeError,
     ValidationError,
 )
-from .numerics import as_matrix, center_columns, svd_truncate
+from .numerics import (
+    as_matrix,
+    center_columns,
+    frobenius_norm,
+    gram_factor,
+    gram_linear,
+    nuclear_norm,
+    svd_truncate,
+)
 
 
 def _pair(x, y, min_rows: int = 2):
@@ -42,9 +60,17 @@ def linear_cka(x, y, with_flag: bool = False):
     input was degenerate (zero after centering), in which case the value is 0.
     """
     x, y = _pair(x, y)
-    num = float(np.linalg.norm(y.T @ x) ** 2)
-    dx = float(np.linalg.norm(x.T @ x))
-    dy = float(np.linalg.norm(y.T @ y))
+    if x.shape[0] < max(x.shape[1], y.shape[1]):
+        # Gram form: sum(K * L) = |Y^T X|_F^2 and |K|_F = |X^T X|_F
+        k = gram_linear(x)
+        l = gram_linear(y)
+        num = float((k * l).sum())
+        dx = frobenius_norm(k)
+        dy = frobenius_norm(l)
+    else:
+        num = float(np.linalg.norm(y.T @ x) ** 2)
+        dx = float(np.linalg.norm(x.T @ x))
+        dy = float(np.linalg.norm(y.T @ y))
     if dx == 0.0 or dy == 0.0:
         return (0.0, True) if with_flag else 0.0
     val = min(max(num / (dx * dy), 0.0), 1.0)
@@ -79,15 +105,21 @@ def cka_from_grams(k, l, with_flag: bool = False):
     return (val, False) if with_flag else val
 
 
-def _hsic_unbiased(k: np.ndarray, l: np.ndarray) -> float:
-    """Diagonal-excluded U-statistic HSIC estimator; needs n >= 4."""
-    n = k.shape[0]
+def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
+    """m @ m.T with its diagonal set to zero, as `_hsic_unbiased` takes it."""
+    k = m @ m.T
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def _hsic_unbiased(kt: np.ndarray, lt: np.ndarray) -> float:
+    """Diagonal-excluded U-statistic HSIC estimator; needs n >= 4.
+
+    Both Grams must already have a zero diagonal (`_zero_diagonal_gram`).
+    """
+    n = kt.shape[0]
     if n < 4:
         raise ShapeError(f"unbiased HSIC needs at least 4 points, got {n}")
-    kt = k.copy()
-    lt = l.copy()
-    np.fill_diagonal(kt, 0.0)
-    np.fill_diagonal(lt, 0.0)
     ks = kt.sum(axis=0)
     ls = lt.sum(axis=0)
     term = (
@@ -101,8 +133,8 @@ def _hsic_unbiased(k: np.ndarray, l: np.ndarray) -> float:
 def unbiased_cka(x, y) -> float:
     """Full-data CKA built from unbiased HSIC terms (single-batch reference)."""
     x, y = _pair(x, y, min_rows=4)
-    k = x @ x.T
-    l = y @ y.T
+    k = _zero_diagonal_gram(x)
+    l = _zero_diagonal_gram(y)
     num = _hsic_unbiased(k, l)
     da = _hsic_unbiased(k, k)
     db = _hsic_unbiased(l, l)
@@ -144,10 +176,8 @@ def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
         for i, s in enumerate(starts):
             e = starts[i + 1] if i + 1 < len(starts) else n
             idx = order[s:e]
-            xb = x[idx]
-            yb = y[idx]
-            k = xb @ xb.T
-            l = yb @ yb.T
+            k = _zero_diagonal_gram(x[idx])
+            l = _zero_diagonal_gram(y[idx])
             num += _hsic_unbiased(k, l)
             da += _hsic_unbiased(k, k)
             db += _hsic_unbiased(l, l)
@@ -228,26 +258,24 @@ def svcca(x, y, variance_fraction: float = 0.99, with_flag: bool = False):
 def procrustes_similarity(x, y, with_flag: bool = False):
     """Orthogonal Procrustes similarity 2|X^T Y|_* on normalized matrices.
 
-    Inputs are centered and scaled to unit Frobenius norm; the narrower
-    matrix is zero-padded (padding leaves the cross-product nuclear norm
-    unchanged). Value lies in [0, 2]; identical matrices score 2.
+    Inputs are centered and scaled to unit Frobenius norm. An input wider
+    than n is replaced by its n x n `gram_factor`, which leaves |X^T Y|_*
+    unchanged; the narrower matrix is then zero-padded (padding leaves the
+    cross-product nuclear norm unchanged too). Value lies in [0, 2];
+    identical matrices score 2.
     """
     x, y = _pair(x, y)
     fx = np.linalg.norm(x)
     fy = np.linalg.norm(y)
     if fx == 0.0 or fy == 0.0:
         return (0.0, True) if with_flag else 0.0
-    x = x / fx
-    y = y / fy
+    x = gram_factor(x / fx)
+    y = gram_factor(y / fy)
     if x.shape[1] < y.shape[1]:
         x = np.pad(x, ((0, 0), (0, y.shape[1] - x.shape[1])))
     elif y.shape[1] < x.shape[1]:
         y = np.pad(y, ((0, 0), (0, x.shape[1] - y.shape[1])))
-    try:
-        s = np.linalg.svd(x.T @ y, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Procrustes SVD failed: {exc}") from exc
-    val = min(max(2.0 * float(s.sum()), 0.0), 2.0)
+    val = min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0)
     return (val, False) if with_flag else val
 
 
@@ -376,21 +404,54 @@ class SimilarityMatrix:
 
     @classmethod
     def load(cls, base_path: str) -> "SimilarityMatrix":
+        """Read a grid written by `save`.
+
+        A ragged or non-numeric CSV raises FormatError; an unreadable
+        sidecar or a degenerate cell outside the grid raises ManifestError.
+        """
         with open(base_path + ".csv", newline="") as fh:
             rows = list(csv.reader(fh))
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
+            raise FormatError(f"{base_path}.csv: empty or ragged rows")
         col_names = rows[0][1:]
         row_names = [r[0] for r in rows[1:]]
-        values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        with open(base_path + ".json") as fh:
-            sidecar = json.load(fh)
+        try:
+            cells = [[float(v) for v in r[1:]] for r in rows[1:]]
+        except ValueError as exc:
+            raise FormatError(f"{base_path}.csv: {exc}") from exc
+        values = np.array(cells).reshape(len(row_names), len(col_names))
+        if not np.isfinite(values).all():
+            raise FormatError(f"{base_path}.csv: non-finite value")
+        try:
+            with open(base_path + ".json") as fh:
+                sidecar = json.load(fh)
+        except ValueError as exc:  # also covers JSONDecodeError, bad UTF-8
+            raise ManifestError(f"{base_path}.json: {exc}") from exc
+        if not isinstance(sidecar, dict) or not isinstance(sidecar.get("metric"), dict):
+            raise ManifestError(f"{base_path}.json: no metric object")
         metric = MetricKind.from_json(sidecar["metric"])
         meta = {k: sidecar.get(k) for k in ("n", "model_ids", "conditions")}
         degenerate = None
         if sidecar.get("degenerate") is not None:
-            degenerate = np.zeros(values.shape, dtype=bool)
-            for i, j in sidecar["degenerate"]:
-                degenerate[i, j] = True
+            degenerate = _cell_mask(sidecar["degenerate"], values.shape, base_path)
         return cls(row_names, col_names, values, metric, degenerate, meta)
+
+
+def _cell_mask(cells, shape: tuple, base_path: str) -> np.ndarray:
+    """Boolean grid with the listed [i, j] cells set; rejects bad indices."""
+    mask = np.zeros(shape, dtype=bool)
+    if not isinstance(cells, list):
+        raise ManifestError(f"{base_path}.json: degenerate is not a list")
+    for cell in cells:
+        # type() rather than isinstance(): a bool is an int
+        if not (
+            isinstance(cell, list)
+            and len(cell) == 2
+            and all(type(v) is int and 0 <= v < s for v, s in zip(cell, shape))
+        ):
+            raise ManifestError(f"{base_path}.json: bad degenerate cell {cell!r}")
+        mask[cell[0], cell[1]] = True
+    return mask
 
 
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):

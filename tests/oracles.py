@@ -69,11 +69,13 @@ def class_components(x: np.ndarray, y: np.ndarray, labels) -> tuple:
     return intra / d, inter / d
 
 
-def jacobi_singular_values(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """One-sided Jacobi SVD: rotate column pairs until A^T A is diagonal."""
+def jacobi_rotate_columns(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
+    """One-sided Jacobi: rotate column pairs of m until A^T A is diagonal.
+
+    The result is m V for an orthogonal V, so its columns are the columns of
+    U S from an SVD of m, in no particular order, plus zero columns.
+    """
     a = np.array(m, dtype=np.float64)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
     n = a.shape[1]
     for _ in range(sweeps):
         off = 0.0
@@ -95,8 +97,29 @@ def jacobi_singular_values(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
                 a[:, q] = s * ap + c * a[:, q]
         if off < 1e-14:
             break
+    return a
+
+
+def jacobi_singular_values(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
+    """Singular values as the column norms after Jacobi rotation."""
+    a = np.asarray(m, dtype=np.float64)
+    a = jacobi_rotate_columns(a.T if a.shape[0] < a.shape[1] else a, sweeps)
     sv = np.sqrt((a * a).sum(axis=0))
     return np.sort(sv)[::-1]
+
+
+def principal_projection(m: np.ndarray, fraction: float) -> np.ndarray:
+    """Leading principal projection U_k S_k of m by Jacobi rotation.
+
+    k is the smallest count whose squared singular values reach `fraction`
+    of the total; the columns come out in decreasing norm, up to sign.
+    """
+    a = jacobi_rotate_columns(m)
+    norms = np.sqrt((a * a).sum(axis=0))
+    order = np.argsort(norms)[::-1]
+    cum = np.cumsum(norms[order] ** 2) / float((norms * norms).sum())
+    k = int(np.searchsorted(cum, fraction - 1e-12)) + 1
+    return a[:, order[:k]]
 
 
 def nuclear_norm_jacobi(m: np.ndarray) -> float:

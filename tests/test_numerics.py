@@ -115,13 +115,14 @@ def test_svd_truncate_rank_one():
 
 def test_svd_truncate_count_matches_cumsum_oracle():
     rng = np.random.default_rng(7)
-    m = numerics.center_columns(rng.normal(size=(20, 5)))
-    proj = numerics.svd_truncate(m, 0.9)
-    sv = oracles.jacobi_singular_values(m)
-    energy = sv * sv
-    cum = np.cumsum(energy) / energy.sum()
-    expected = int(np.searchsorted(cum, 0.9 - 1e-12)) + 1
-    assert proj.shape[1] == expected
+    for shape in ((20, 5), (8, 30)):  # tall, and wide (n-sized factor path)
+        m = numerics.center_columns(rng.normal(size=shape))
+        proj = numerics.svd_truncate(m, 0.9)
+        sv = oracles.jacobi_singular_values(m)
+        energy = sv * sv
+        cum = np.cumsum(energy) / energy.sum()
+        expected = int(np.searchsorted(cum, 0.9 - 1e-12)) + 1
+        assert proj.shape[1] == expected
 
 
 def test_svd_truncate_rejects_bad_fraction():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from rslab.activations import ActivationRecord, ActivationSet, Condition
 from rslab.errors import (
     AlignmentError,
     EmptySelectionError,
+    FormatError,
     InvalidGramError,
+    ManifestError,
     ShapeError,
     ValidationError,
 )
@@ -44,21 +48,29 @@ def test_cka_fixed_example_matches_direct_oracle():
     assert sm.linear_cka(x, y) == pytest.approx(oracles.cka_direct(x, y), abs=1e-12)
 
 
+# (n, px, py) beyond the random tall-ish ones: both sides wider than n, and
+# px > n >= py, which take the n x n Gram / factor paths
+WIDE_SHAPES = ((8, 30, 20), (8, 30, 5))
+
+
 def test_cka_matches_direct_oracle_random():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        x = rng.normal(size=(int(rng.integers(4, 16)), int(rng.integers(1, 6))))
-        y = rng.normal(size=(x.shape[0], int(rng.integers(1, 6))))
+    shapes = [tuple(int(v) for v in rng.integers((4, 1, 1), (16, 6, 6))) for _ in range(25)]
+    for n, px, py in shapes + list(WIDE_SHAPES):
+        x = rng.normal(size=(n, px))
+        y = rng.normal(size=(n, py))
         assert sm.linear_cka(x, y) == pytest.approx(
             oracles.cka_direct(x, y), abs=1e-10
         )
 
 
 def test_cka_degenerate_flag():
-    x = np.ones((5, 3))  # zero after centering
-    y = np.random.default_rng(3).normal(size=(5, 2))
-    val, flag = sm.linear_cka(x, y, with_flag=True)
-    assert val == 0.0 and flag
+    rng = np.random.default_rng(3)
+    # zero after centering: a tall and a wide constant input
+    for x in (np.ones((5, 3)), np.ones((5, 12))):
+        y = rng.normal(size=(5, 2))
+        val, flag = sm.linear_cka(x, y, with_flag=True)
+        assert val == 0.0 and flag
 
 
 def test_cka_row_mismatch():
@@ -273,15 +285,15 @@ def test_svcca_self():
 
 
 def test_svcca_matches_composed_oracles():
-    from rslab.numerics import center_columns, svd_truncate
-
     rng = np.random.default_rng(23)
-    x = rng.normal(size=(40, 6))
-    y = rng.normal(size=(40, 6))
-    xt = svd_truncate(center_columns(x), 0.9)
-    yt = svd_truncate(center_columns(y), 0.9)
-    expected = float(oracles.cca_ascent(xt, yt).mean())
-    assert sm.svcca(x, y, 0.9) == pytest.approx(expected, abs=1e-8)
+    for n, px, py in ((40, 6, 6),) + WIDE_SHAPES:
+        h = oracles.centering_matrix(n)
+        x = rng.normal(size=(n, px))
+        y = rng.normal(size=(n, py))
+        xt = oracles.principal_projection(h @ x, 0.9)
+        yt = oracles.principal_projection(h @ y, 0.9)
+        expected = float(oracles.cca_ascent(xt, yt).mean())
+        assert sm.svcca(x, y, 0.9) == pytest.approx(expected, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +321,23 @@ def test_procrustes_fixed_example_nuclear_oracle():
 
 def test_procrustes_random_matches_nuclear_oracle():
     rng = np.random.default_rng(25)
-    for _ in range(10):
-        x = rng.normal(size=(10, 3))
-        y = rng.normal(size=(10, 5))
+    for n, px, py in ((10, 3, 5),) * 10 + WIDE_SHAPES:
+        x = rng.normal(size=(n, px))
+        y = rng.normal(size=(n, py))
         xc = x - x.mean(axis=0)
         yc = y - y.mean(axis=0)
-        xn = np.pad(xc / np.linalg.norm(xc), ((0, 0), (0, 2)))
-        yn = yc / np.linalg.norm(yc)
+        p = max(px, py)
+        xn = np.pad(xc / np.linalg.norm(xc), ((0, 0), (0, p - px)))
+        yn = np.pad(yc / np.linalg.norm(yc), ((0, 0), (0, p - py)))
         expected = 2.0 * oracles.nuclear_norm_jacobi(xn.T @ yn)
-        assert sm.procrustes_similarity(x, y) == pytest.approx(expected, abs=1e-9)
+        assert sm.procrustes_similarity(x, y) == pytest.approx(expected, abs=1e-10)
 
 
 def test_procrustes_degenerate():
-    val, flag = sm.procrustes_similarity(np.ones((4, 2)), np.eye(4), with_flag=True)
-    assert val == 0.0 and flag
+    # a tall and a wide constant input
+    for x in (np.ones((4, 2)), np.ones((4, 9))):
+        val, flag = sm.procrustes_similarity(x, np.eye(4), with_flag=True)
+        assert val == 0.0 and flag
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +466,55 @@ def test_similarity_matrix_save_load(tmp_path):
         assert loaded.metric == grid.metric
         assert np.array_equal(loaded.degenerate, grid.degenerate)
     assert grid.degenerate[1].all() and grid.degenerate.sum() == 2 * len(recs) - 1
+
+
+def _set_degenerate(cells):
+    def edit(base):
+        with open(base + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["degenerate"] = cells
+        with open(base + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+    return edit
+
+
+def _rewrite(ext, fn):
+    def edit(base):
+        with open(base + ext) as fh:
+            text = fh.read()
+        with open(base + ext, "w") as fh:
+            fh.write(fn(text))
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_set_degenerate([[-1, 0]]), ManifestError),
+    (_set_degenerate([[5, 0]]), ManifestError),
+    (_set_degenerate([[0, 3]]), ManifestError),
+    (_set_degenerate([[1.0, 0]]), ManifestError),
+    (_set_degenerate([[True, 0]]), ManifestError),
+    (_set_degenerate([[0]]), ManifestError),
+    (_set_degenerate({"0": 0}), ManifestError),
+    (_rewrite(".json", lambda t: t[: len(t) // 2]), ManifestError),
+    (_rewrite(".json", lambda t: "[]"), ManifestError),
+    (_rewrite(".csv", lambda t: t.replace("\n", ",0.5\n", 2)), FormatError),
+    (_rewrite(".csv", lambda t: t.rsplit(",", 1)[0] + "\n"), FormatError),
+    (_rewrite(".csv", lambda t: t.rsplit(",", 1)[0] + ",high\n"), FormatError),
+    (_rewrite(".csv", lambda t: t.rsplit(",", 1)[0] + ",nan\n"), FormatError),
+    (_rewrite(".csv", lambda t: ""), FormatError),
+], ids=["negative-index", "row-past-end", "col-past-end", "float-index",
+        "bool-index", "short-cell", "not-a-list", "truncated-json",
+        "json-not-object", "ragged-row", "short-row", "non-numeric-cell",
+        "nan-cell", "empty-csv"])
+def test_similarity_matrix_load_rejects_malformed(tmp_path, edit, error):
+    rng = np.random.default_rng(35)
+    a = make_set(rng)
+    base = str(tmp_path / "grid")
+    sm.crosslayer_matrix(a, a, sm.MetricKind.linear_cka()).save(base)
+    sm.SimilarityMatrix.load(base)
+    edit(base)
+    with pytest.raises(error):
+        sm.SimilarityMatrix.load(base)
 
 
 def test_block_structure_score():
