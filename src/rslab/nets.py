@@ -6,6 +6,21 @@ are all straightforward array code. Convolutions run through im2col and a
 single GEMM in float64; their input gradients use the dilated-correlation
 form so no scatter-adds are needed.
 
+Passes that take no parameter gradients (`forward`, `predict` and
+`loss_and_grad(..., need_param_grads=False)`, i.e. every attack step) run
+the batch through the whole net one block of images at a time, sized so a
+block's layer outputs fit in `_BLOCK_BYTES`; the im2col windows (`cols`) are
+kept only for weight gradients, which the training step takes over its whole
+batch. Every layer computes an image's outputs from that image's rows alone,
+so a block gives the bytes one pass over the whole batch gives, as long as
+BLAS sums each row of a product in the same order whatever the row count.
+Two exceptions are known. A one-row product takes BLAS's matrix-vector path,
+so a block never holds a single row of a longer batch. OpenBLAS's
+small-matrix kernel sums a narrow product with a long inner dimension (such
+as mlp-3's 256 -> 4 head) in another order than its large-matrix kernel, so
+such logits may move by an ulp; the width-1 miniresnet's products are not
+affected.
+
 Checkpoints use RSCK v1, a `container` file (magic "RSCK") whose body is,
 little-endian, one record per parameter tensor:
 
@@ -36,6 +51,9 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
+
+# byte budget for one block's float64 layer outputs in gradient-free passes
+_BLOCK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +320,13 @@ def _dilate(g: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray):
+def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray, keep_cols: bool):
     k = spec.kernel
     cols, oh, ow = _im2col(x, k, spec.stride, spec.pad)
     # weight matrix in window order: [(row*k + col)*c_in + ci, c_out]
     wm = p["w"].transpose(2, 3, 1, 0).reshape(k * k * spec.in_channels, -1)
     out = (cols @ wm + p["b"]).reshape(x.shape[0], oh, ow, spec.out_channels)
-    return out, (cols, x.shape)
+    return out, (cols if keep_cols else None, x.shape)
 
 
 def _conv_backward(spec: Conv2d, p: dict, cache, g: np.ndarray, need_param: bool):
@@ -319,6 +337,10 @@ def _conv_backward(spec: Conv2d, p: dict, cache, g: np.ndarray, need_param: bool
     gm = g.reshape(-1, co)
     grads = None
     if need_param:
+        if cols is None:
+            raise ValidationError(
+                "parameter gradients need a state from forward_cache(..., need_param_grads=True)"
+            )
         dw = (cols.T @ gm).reshape(k, k, ci, co).transpose(3, 2, 0, 1)
         grads = {"w": dw, "b": gm.sum(axis=0)}
     # input gradient as a correlation of the (dilated) cotangent with the
@@ -346,7 +368,22 @@ def _flatten_act(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1)
 
 
-def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool):
+def _block_rows(net: NetworkGraph) -> int:
+    """Images per block: as many as fit `_BLOCK_BYTES` of layer outputs."""
+    per_image = 8 * sum(int(np.prod(s)) for s in net.output_shapes)
+    return max(2, _BLOCK_BYTES // per_image)
+
+
+def _blocks(net: NetworkGraph, n: int) -> list:
+    """Row slices covering n images; a lone last row joins the block before."""
+    step = _block_rows(net)
+    starts = list(range(0, n, step)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool, keep_cols: bool = False):
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape[1:]} does not match net input {net.input_shape}"
@@ -362,7 +399,7 @@ def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool):
             cache = cur
             cur = cur @ p["w"] + p["b"]
         elif isinstance(spec, Conv2d):
-            cur, cache = _conv_forward(spec, p, cur)
+            cur, cache = _conv_forward(spec, p, cur, keep_cols)
         elif isinstance(spec, Relu):
             cache = cur > 0
             cur = np.maximum(cur, 0.0)
@@ -386,23 +423,30 @@ def forward(net: NetworkGraph, batch, taps=None):
     """Run the net; returns (logits, {layer_index: flattened activation}).
 
     Deterministic and side-effect free for fixed parameters. A spatial final
-    output comes back in (n, c, h, w) layout.
+    output comes back in (n, c, h, w) layout. Runs in blocks of images.
     """
     inputs, _ = batch_arrays(batch)
-    outs, _ = _run_forward(net, np.asarray(inputs, dtype=np.float64), False)
-    tapped = {}
-    if taps:
-        for t in taps:
-            tapped[t] = _flatten_act(outs[t])
-    final = outs[-1]
-    if final.ndim == 4:
-        final = _to_nchw(final)
+    x = np.asarray(inputs, dtype=np.float64)
+    n = x.shape[0]
+    final = np.empty((n,) + net.output_shapes[-1])
+    tapped = {t: np.empty((n, int(np.prod(net.output_shapes[t])))) for t in taps or ()}
+    for rows in _blocks(net, n):
+        outs, _ = _run_forward(net, x[rows], False)
+        for t, dst in tapped.items():
+            dst[rows] = _flatten_act(outs[t])
+        last = outs[-1]
+        final[rows] = last.transpose(0, 3, 1, 2) if last.ndim == 4 else last
     return final, tapped
 
 
-def forward_cache(net: NetworkGraph, inputs: np.ndarray):
-    """Forward pass retaining everything `backward` needs."""
-    outs, caches = _run_forward(net, np.asarray(inputs, dtype=np.float64), True)
+def forward_cache(net: NetworkGraph, inputs: np.ndarray, need_param_grads: bool = True):
+    """Forward pass retaining everything `backward` needs.
+
+    The conv windows that weight gradients need are kept only when
+    `need_param_grads` is set.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    outs, caches = _run_forward(net, x, True, need_param_grads)
     return outs[-1], (outs, caches)
 
 
@@ -482,14 +526,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def _label_logp_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """Per row: log-probability of the label and the unscaled logits gradient."""
+    rows = np.arange(logits.shape[0])
+    logp = log_softmax(logits)
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    return logp[rows, labels], dlogits
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy and its logits gradient."""
-    n = logits.shape[0]
-    logp = log_softmax(logits)
-    loss = -float(logp[np.arange(n), labels].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    label_logp, dlogits = _label_logp_and_grad(logits, labels)
+    return -float(label_logp.mean()), dlogits / logits.shape[0]
 
 
 def loss_and_grad(
@@ -498,24 +547,35 @@ def loss_and_grad(
     need_param_grads: bool = True,
     need_input_grad: bool = True,
 ):
-    """Mean cross-entropy plus gradients w.r.t. parameters and inputs."""
+    """Mean cross-entropy plus gradients w.r.t. parameters and inputs.
+
+    Without parameter gradients the batch runs forward and backward one
+    block at a time; the logits gradient is still scaled by the full batch.
+    """
     inputs, labels = batch_arrays(batch)
     if labels.size and labels.max() >= net.output_shapes[-1][0]:
         raise ValidationError("label exceeds class count")
-    logits, state = forward_cache(net, inputs)
-    loss, dlogits = cross_entropy(logits, labels)
-    param_grads, dx = backward(net, state, dlogits, need_param_grads, need_input_grad)
-    return loss, param_grads, dx
+    if need_param_grads:
+        logits, state = forward_cache(net, inputs)
+        loss, dlogits = cross_entropy(logits, labels)
+        param_grads, dx = backward(net, state, dlogits, True, need_input_grad)
+        return loss, param_grads, dx
+    x = np.asarray(inputs, dtype=np.float64)
+    n = x.shape[0]
+    label_logp = np.empty(n)
+    dx = np.empty(x.shape) if need_input_grad else None
+    for rows in _blocks(net, n):
+        logits, state = forward_cache(net, x[rows], need_param_grads=False)
+        label_logp[rows], dlogits = _label_logp_and_grad(logits, labels[rows])
+        if need_input_grad:
+            _, dx[rows] = backward(net, state, dlogits / n, need_param_grads=False)
+    return -float(label_logp.mean()), None, dx
 
 
-def predict(net: NetworkGraph, inputs: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Argmax class predictions, evaluated in chunks."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    preds = []
-    for s in range(0, inputs.shape[0], chunk):
-        logits, _ = forward(net, inputs[s : s + chunk])
-        preds.append(logits.argmax(axis=1))
-    return np.concatenate(preds)
+def predict(net: NetworkGraph, inputs: np.ndarray) -> np.ndarray:
+    """Argmax class predictions."""
+    logits, _ = forward(net, inputs)
+    return logits.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

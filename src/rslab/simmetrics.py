@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    ConfigError,
     EmptySelectionError,
     FormatError,
     InvalidGramError,
@@ -281,6 +282,16 @@ def procrustes_similarity(x, y, with_flag: bool = False):
 
 METRIC_NAMES = ("linear_cka", "online_cka", "mean_cca", "svcca", "procrustes")
 
+# JSON fields of a metric object: accepted types and how to name them;
+# every field but "name" may be absent or null
+_FIELD_TYPES = {
+    "name": (str, "a string"),
+    "batch": (int, "an integer"),
+    "passes": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "variance_fraction": ((int, float), "a number"),
+}
+
 
 @dataclass(frozen=True)
 class MetricKind:
@@ -351,10 +362,18 @@ class MetricKind:
 
     @classmethod
     def from_json(cls, d: dict) -> "MetricKind":
-        allowed = {"name", "batch", "passes", "seed", "variance_fraction"}
-        unknown = set(d) - allowed
+        if not isinstance(d, dict):
+            raise ConfigError(f"metric must be an object, got {d!r}")
+        unknown = set(d) - set(_FIELD_TYPES)
         if unknown:
             raise ValidationError(f"unknown metric keys {sorted(unknown)}")
+        for key, (types, what) in _FIELD_TYPES.items():
+            v = d.get(key)
+            if v is None and key != "name":
+                continue
+            # a bool is an int, but never a valid count or fraction
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise ConfigError(f"metric {d!r}: {key!r} must be {what}")
         return cls(**d)
 
 
@@ -429,7 +448,10 @@ class SimilarityMatrix:
             raise ManifestError(f"{base_path}.json: {exc}") from exc
         if not isinstance(sidecar, dict) or not isinstance(sidecar.get("metric"), dict):
             raise ManifestError(f"{base_path}.json: no metric object")
-        metric = MetricKind.from_json(sidecar["metric"])
+        try:
+            metric = MetricKind.from_json(sidecar["metric"])
+        except (ConfigError, ValidationError) as exc:
+            raise ManifestError(f"{base_path}.json: {exc}") from exc
         meta = {k: sidecar.get(k) for k in ("n", "model_ids", "conditions")}
         degenerate = None
         if sidecar.get("degenerate") is not None:

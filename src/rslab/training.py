@@ -332,7 +332,7 @@ def _kl_pgd(net, batch: Batch, threat: ThreatModel, seed: int) -> np.ndarray:
     x = np.clip(x0 + rng.uniform(-eps, eps, x0.shape), 0.0, 1.0)
     n = x0.shape[0]
     for _ in range(threat.steps):
-        logits, state = nets.forward_cache(net, x)
+        logits, state = nets.forward_cache(net, x, need_param_grads=False)
         dlogits = (nets.softmax(logits) - p0) / n
         _, dx = nets.backward(net, state, dlogits, need_param_grads=False)
         x = x + threat.alpha * np.sign(dx)
@@ -414,14 +414,17 @@ def checkpoint_probe(
     return benign_path, adv_path
 
 
-def _mean_loss(net, batch: Batch, chunk: int = 256) -> float:
+def _loss_and_accuracy(net, batch: Batch, chunk: int = 256) -> tuple:
+    """Mean cross-entropy and accuracy, both from one forward pass."""
     total = 0.0
+    correct = 0
     for s in range(0, batch.n, chunk):
         sub = Batch(batch.inputs[s : s + chunk], batch.labels[s : s + chunk])
         logits, _ = nets.forward(net, sub.inputs)
         loss, _ = nets.cross_entropy(logits, sub.labels)
         total += loss * sub.n
-    return total / batch.n
+        correct += int((logits.argmax(axis=1) == sub.labels).sum())
+    return total / batch.n, correct / batch.n
 
 
 def train(
@@ -491,18 +494,13 @@ def train(
                 )
             losses.append(loss)
             _sgd_step(net.params, grads, velocity, lr, config.momentum)
-        val_loss = _mean_loss(net, data.val)
-        benign_acc = float(
-            (nets.predict(net, data.val.inputs) == data.val.labels).mean()
-        )
+        val_loss, benign_acc = _loss_and_accuracy(net, data.val)
         val_loss_adv = None
         robust_acc = None
         if eval_threat is not None:
             adv = generate(net, val_sub, eval_threat, seed=_batch_seed(config.seed, epoch, -1))
-            adv_batch = Batch(adv.perturbed, val_sub.labels)
-            val_loss_adv = _mean_loss(net, adv_batch)
-            robust_acc = float(
-                (nets.predict(net, adv_batch.inputs) == val_sub.labels).mean()
+            val_loss_adv, robust_acc = _loss_and_accuracy(
+                net, Batch(adv.perturbed, val_sub.labels)
             )
         entry = EpochEntry(
             epoch, float(np.mean(losses)), val_loss, val_loss_adv, benign_acc, robust_acc

@@ -163,6 +163,16 @@ def test_experiment_command(pipeline, tmp_path):
         assert "long_range_score" in json.load(fh)
 
 
+def test_experiment_bad_metric_exits_2(tmp_path, capsys):
+    spec = write_json(
+        tmp_path / "exp.json",
+        {"schema_version": 1,
+         "experiment": {"kind": "crosslayer", "runs": [str(tmp_path)], "metric": {}}},
+    )
+    assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "exp")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_validation_failure_exit_code(pipeline, tmp_path, capsys):
     _, data_path, _, run_dir = pipeline
     # corrupt a dump so compare hits a format (validation) error

@@ -10,6 +10,7 @@ from rslab.errors import (
     ManifestError,
     ShapeError,
     TruncatedError,
+    ValidationError,
     VersionError,
 )
 
@@ -105,6 +106,57 @@ def test_tap_shapes_match_declared():
     for t in net.taps:
         declared = int(np.prod(net.output_shapes[t]))
         assert tapped[t].shape == (2, declared)
+
+
+# ---------------------------------------------------------------------------
+# blocked gradient-free passes
+
+
+@pytest.fixture(scope="module")
+def resnet16():
+    return nets.make_network("miniresnet", (1, 16, 16), classes=4, seed=6)
+
+
+# batch sizes as (whole blocks, extra images): one image, one block, one
+# block plus a lone row (which joins that block), a ragged tail, three blocks
+@pytest.mark.parametrize("blocks,extra", [(0, 1), (1, 0), (1, 1), (1, 3), (3, 0)])
+def test_blocked_passes_match_one_pass(resnet16, blocks, extra):
+    net = resnet16
+    n = blocks * nets._block_rows(net) + extra
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0, 1, (n, 1, 16, 16))
+    labels = rng.integers(0, 4, n)
+    # reference: the whole batch in one pass
+    ref_logits, state = nets.forward_cache(net, x)
+    ref_loss, dlogits = nets.cross_entropy(ref_logits, labels)
+    _, ref_dx = nets.backward(net, state, dlogits, need_param_grads=False)
+
+    logits, tapped = nets.forward(net, x, taps=net.taps)
+    assert np.array_equal(logits, ref_logits)
+    for t in net.taps:
+        assert np.array_equal(tapped[t], nets._flatten_act(state[0][t]))
+    assert np.array_equal(nets.predict(net, x), ref_logits.argmax(axis=1))
+    loss, grads, dx = nets.loss_and_grad(net, nets.Batch(x, labels), need_param_grads=False)
+    assert loss == ref_loss
+    assert grads is None
+    assert np.array_equal(dx, ref_dx)
+
+
+def test_block_sizes_follow_layer_widths(resnet16):
+    assert nets._block_rows(resnet16) == 28
+    # the dense net is not cut into small products
+    assert nets._block_rows(nets.make_network("mlp-3", width_factor=4, seed=0)) > 256
+
+
+def test_param_grads_need_windowed_state(resnet16):
+    x = np.random.default_rng(7).uniform(0, 1, (3, 1, 16, 16))
+    logits, state = nets.forward_cache(resnet16, x, need_param_grads=False)
+    dlogits = np.ones_like(logits)
+    with pytest.raises(ValidationError):
+        nets.backward(resnet16, state, dlogits, need_param_grads=True)
+    _, dx = nets.backward(resnet16, state, dlogits, need_param_grads=False)
+    _, ref_dx = nets.backward(resnet16, nets.forward_cache(resnet16, x)[1], dlogits)
+    assert np.array_equal(dx, ref_dx)
 
 
 # ---------------------------------------------------------------------------

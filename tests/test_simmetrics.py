@@ -7,6 +7,7 @@ from rslab import simmetrics as sm
 from rslab.activations import ActivationRecord, ActivationSet, Condition
 from rslab.errors import (
     AlignmentError,
+    ConfigError,
     EmptySelectionError,
     FormatError,
     InvalidGramError,
@@ -412,6 +413,16 @@ def test_metric_kind_json_roundtrip():
         sm.MetricKind.from_json({"name": "linear_cka", "bogus": 1})
 
 
+@pytest.mark.parametrize("d", [
+    {},
+    {"name": "online_cka", "batch": "x", "passes": 1},
+    {"name": "svcca", "variance_fraction": "0.5"},
+], ids=["no-name", "string-batch", "string-fraction"])
+def test_metric_kind_from_json_rejects_bad_field_types(d):
+    with pytest.raises(ConfigError):
+        sm.MetricKind.from_json(d)
+
+
 def test_crosslayer_self_symmetric_unit_diagonal():
     rng = np.random.default_rng(30)
     a = make_set(rng)
@@ -468,11 +479,11 @@ def test_similarity_matrix_save_load(tmp_path):
     assert grid.degenerate[1].all() and grid.degenerate.sum() == 2 * len(recs) - 1
 
 
-def _set_degenerate(cells):
+def _set_sidecar(key, value):
     def edit(base):
         with open(base + ".json") as fh:
             sidecar = json.load(fh)
-        sidecar["degenerate"] = cells
+        sidecar[key] = value
         with open(base + ".json", "w") as fh:
             json.dump(sidecar, fh)
     return edit
@@ -488,15 +499,16 @@ def _rewrite(ext, fn):
 
 
 @pytest.mark.parametrize("edit, error", [
-    (_set_degenerate([[-1, 0]]), ManifestError),
-    (_set_degenerate([[5, 0]]), ManifestError),
-    (_set_degenerate([[0, 3]]), ManifestError),
-    (_set_degenerate([[1.0, 0]]), ManifestError),
-    (_set_degenerate([[True, 0]]), ManifestError),
-    (_set_degenerate([[0]]), ManifestError),
-    (_set_degenerate({"0": 0}), ManifestError),
+    (_set_sidecar("degenerate", [[-1, 0]]), ManifestError),
+    (_set_sidecar("degenerate", [[5, 0]]), ManifestError),
+    (_set_sidecar("degenerate", [[0, 3]]), ManifestError),
+    (_set_sidecar("degenerate", [[1.0, 0]]), ManifestError),
+    (_set_sidecar("degenerate", [[True, 0]]), ManifestError),
+    (_set_sidecar("degenerate", [[0]]), ManifestError),
+    (_set_sidecar("degenerate", {"0": 0}), ManifestError),
     (_rewrite(".json", lambda t: t[: len(t) // 2]), ManifestError),
     (_rewrite(".json", lambda t: "[]"), ManifestError),
+    (_set_sidecar("metric", {}), ManifestError),
     (_rewrite(".csv", lambda t: t.replace("\n", ",0.5\n", 2)), FormatError),
     (_rewrite(".csv", lambda t: t.rsplit(",", 1)[0] + "\n"), FormatError),
     (_rewrite(".csv", lambda t: t.rsplit(",", 1)[0] + ",high\n"), FormatError),
@@ -504,8 +516,8 @@ def _rewrite(ext, fn):
     (_rewrite(".csv", lambda t: ""), FormatError),
 ], ids=["negative-index", "row-past-end", "col-past-end", "float-index",
         "bool-index", "short-cell", "not-a-list", "truncated-json",
-        "json-not-object", "ragged-row", "short-row", "non-numeric-cell",
-        "nan-cell", "empty-csv"])
+        "json-not-object", "nameless-metric", "ragged-row", "short-row",
+        "non-numeric-cell", "nan-cell", "empty-csv"])
 def test_similarity_matrix_load_rejects_malformed(tmp_path, edit, error):
     rng = np.random.default_rng(35)
     a = make_set(rng)
