@@ -78,17 +78,24 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     returns the n x k projection U_k S_k of m onto them. The caller is
     expected to pass a column-centered matrix.
 
-    A wide m (p > n) is factored through the n x n `gram_factor(m)`, whose
-    U and S are those of m, so the SVD is n-sized; this changes no value
-    beyond rounding. A tall m is decomposed directly.
+    Both routes take an SVD no larger than min(n, p) on a side, chosen from
+    the shape: a wide m (p > n) is factored through the n x n
+    `gram_factor(m)`, whose U and S are those of m, and the result is
+    U_k S_k; a tall m (p <= n) through the p x p R of m = Q R, whose S and V
+    are those of m, and the result is m V_k, which equals U_k S_k. Neither
+    route changes a value beyond rounding.
     """
     m = as_matrix(m)
     if not 0.0 < variance_fraction <= 1.0:
         raise ValidationError(
             f"variance_fraction must be in (0, 1], got {variance_fraction}"
         )
+    tall = m.shape[1] <= m.shape[0]
     try:
-        u, s, _ = np.linalg.svd(gram_factor(m), full_matrices=False)
+        if tall:
+            _, s, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
+        else:
+            u, s, _ = np.linalg.svd(gram_factor(m), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     energy = s * s
@@ -99,4 +106,4 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     # tiny slack so variance_fraction=1.0 is reachable despite roundoff
     k = int(np.searchsorted(cum, variance_fraction * total - 1e-12 * total)) + 1
     k = min(k, len(s))
-    return u[:, :k] * s[:k]
+    return m @ vt[:k].T if tall else u[:, :k] * s[:k]

@@ -6,13 +6,29 @@ of the columns; the CKA family is additionally invariant to isotropic
 scaling. Degenerate inputs (all-zero after centering) score 0 with an
 explicit flag instead of NaN so downstream grids stay renderable.
 
-Every metric depends on a layer only through its n x n Gram, so each call
-works on the cheaper side of its inputs, chosen from their shapes: when an
-input is wider than the probe is tall (p > n), linear CKA is computed from
-the n x n Grams and Procrustes and SVCCA from an n x n factor with the same
-Gram (`numerics.gram_factor`); tall inputs use the p-sized feature-space
-products. The two forms are equal in exact arithmetic, so the choice changes
-no value beyond rounding.
+Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
+once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
+prepares each distinct layer once per grid; `MetricKind.evaluate` and the
+single-pair functions prepare raw matrices themselves, so every caller runs
+the same code. What each metric prepares, and what its pair step does:
+
+- linear CKA: the centered matrix, plus the n x n Gram and its norm for a
+  wide layer (p > n) or |X^T X|_F for a tall one. Two wide layers pair
+  through sum(K * L), any other pair through |Y^T X|_F^2.
+- online CKA: the column means and the layer's self-HSIC summed over the
+  batch schedule. The pair step walks the same schedule and accumulates
+  only the cross term, so values match the one-pass estimator bit for bit.
+- mean CCA: the orthonormal basis of the centered column space; the pair
+  step takes the singular values of Qx^T Qy.
+- SVCCA: validation only. The pair step centers and truncates both layers
+  with `numerics.svd_truncate` and divides the truncated columns by their
+  norms to get the CCA bases.
+- Procrustes: the centered, unit-norm `gram_factor` (n x n for a wide
+  layer); the pair step pads the narrower factor and takes the nuclear norm.
+
+A layer enters only through its n x n Gram, so the Gram and factor forms
+above, chosen from the shapes alone, equal the feature-space ones in exact
+arithmetic and change no value beyond rounding.
 """
 from __future__ import annotations
 
@@ -60,22 +76,7 @@ def linear_cka(x, y, with_flag: bool = False):
     Returns a float in [0, 1]; with `with_flag` also returns whether either
     input was degenerate (zero after centering), in which case the value is 0.
     """
-    x, y = _pair(x, y)
-    if x.shape[0] < max(x.shape[1], y.shape[1]):
-        # Gram form: sum(K * L) = |Y^T X|_F^2 and |K|_F = |X^T X|_F
-        k = gram_linear(x)
-        l = gram_linear(y)
-        num = float((k * l).sum())
-        dx = frobenius_norm(k)
-        dy = frobenius_norm(l)
-    else:
-        num = float(np.linalg.norm(y.T @ x) ** 2)
-        dx = float(np.linalg.norm(x.T @ x))
-        dy = float(np.linalg.norm(y.T @ y))
-    if dx == 0.0 or dy == 0.0:
-        return (0.0, True) if with_flag else 0.0
-    val = min(max(num / (dx * dy), 0.0), 1.0)
-    return (val, False) if with_flag else val
+    return MetricKind.linear_cka().evaluate(x, y, with_flag)
 
 
 def _center_gram(k: np.ndarray) -> np.ndarray:
@@ -152,39 +153,7 @@ def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
     and passes and combined once at the end. Deterministic for a fixed seed.
     A trailing batch smaller than 4 points is folded into its predecessor.
     """
-    x = center_columns(as_matrix(x, "x"))
-    y = center_columns(as_matrix(y, "y"))
-    if x.shape[0] != y.shape[0]:
-        raise AlignmentError(
-            f"streams misaligned: {x.shape[0]} vs {y.shape[0]} points"
-        )
-    n = x.shape[0]
-    if batch < 2:
-        raise ValidationError(f"batch must be >= 2, got {batch}")
-    if passes < 1:
-        raise ValidationError(f"passes must be >= 1, got {passes}")
-    if n < 4:
-        raise ShapeError(f"need at least 4 points, got {n}")
-    rng = np.random.default_rng(seed)
-    num = da = db = 0.0
-    for _ in range(passes):
-        # a single batch holding every point needs no shuffle; keeping the
-        # input order makes it agree exactly with the full-data estimator
-        order = rng.permutation(n) if batch < n else np.arange(n)
-        starts = list(range(0, n, batch))
-        if len(starts) > 1 and n - starts[-1] < 4:
-            starts.pop()  # fold short remainder into the previous batch
-        for i, s in enumerate(starts):
-            e = starts[i + 1] if i + 1 < len(starts) else n
-            idx = order[s:e]
-            k = _zero_diagonal_gram(x[idx])
-            l = _zero_diagonal_gram(y[idx])
-            num += _hsic_unbiased(k, l)
-            da += _hsic_unbiased(k, k)
-            db += _hsic_unbiased(l, l)
-    if da <= 0.0 or db <= 0.0:
-        return 0.0
-    return num / float(np.sqrt(da * db))
+    return MetricKind.online_cka(batch, passes, seed).evaluate(x, y)
 
 
 def class_cka_decomposition(x, y, labels):
@@ -228,32 +197,12 @@ def mean_cca(x, y, with_flag: bool = False):
     space if rank deficient); the singular values of Qx^T Qy are the
     canonical correlations. Requires more rows than columns on both sides.
     """
-    x, y = _pair(x, y)
-    n = x.shape[0]
-    if n <= max(x.shape[1], y.shape[1]):
-        raise ShapeError(
-            f"CCA needs rows > cols, got {n} rows vs {x.shape[1]}/{y.shape[1]} cols"
-        )
-    try:
-        qx = _orthonormal_basis(x)
-        qy = _orthonormal_basis(y)
-        if qx.shape[1] == 0 or qy.shape[1] == 0:
-            return (0.0, True) if with_flag else 0.0
-        rho = np.linalg.svd(qx.T @ qy, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"CCA SVD failed: {exc}") from exc
-    rho = np.clip(rho, 0.0, 1.0)
-    val = float(rho.mean())
-    return (val, False) if with_flag else val
+    return MetricKind.mean_cca().evaluate(x, y, with_flag)
 
 
 def svcca(x, y, variance_fraction: float = 0.99, with_flag: bool = False):
     """CCA after truncating both inputs to their leading principal directions."""
-    x = center_columns(as_matrix(x, "x"))
-    y = center_columns(as_matrix(y, "y"))
-    xt = svd_truncate(x, variance_fraction)
-    yt = svd_truncate(y, variance_fraction)
-    return mean_cca(xt, yt, with_flag=with_flag)
+    return MetricKind.svcca(variance_fraction).evaluate(x, y, with_flag)
 
 
 def procrustes_similarity(x, y, with_flag: bool = False):
@@ -265,22 +214,198 @@ def procrustes_similarity(x, y, with_flag: bool = False):
     cross-product nuclear norm unchanged too). Value lies in [0, 2];
     identical matrices score 2.
     """
-    x, y = _pair(x, y)
-    fx = np.linalg.norm(x)
-    fy = np.linalg.norm(y)
-    if fx == 0.0 or fy == 0.0:
-        return (0.0, True) if with_flag else 0.0
-    x = gram_factor(x / fx)
-    y = gram_factor(y / fy)
+    return MetricKind.procrustes().evaluate(x, y, with_flag)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedLayer:
+    """One n x p layer after `MetricKind.prepare`, ready for any pair step.
+
+    `matrix` is what the pair step multiplies: the centered matrix (linear
+    CKA), the orthonormal basis (mean CCA), the unit-norm `gram_factor`
+    (Procrustes), or the validated input itself (online CKA and SVCCA).
+    `gram` is a wide layer's n x n Gram (linear CKA), `mean` the column
+    means (online CKA), and `norm` the layer's own denominator term:
+    |X^T X|_F for linear CKA, the summed self-HSIC for online CKA.
+    `degenerate` marks a layer that scores 0 against anything.
+    """
+
+    metric: "MetricKind"
+    matrix: np.ndarray
+    degenerate: bool = False
+    gram: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    norm: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+
+def _centered(x: np.ndarray) -> np.ndarray:
+    x = center_columns(x)
+    if x.shape[0] < 2:
+        raise ShapeError(f"need at least 2 rows, got {x.shape[0]}")
+    return x
+
+
+def _prepare_linear_cka(kind, x):
+    x = _centered(x)
+    if x.shape[0] < x.shape[1]:
+        # wide: |X^T X|_F = |K|_F through the smaller n x n Gram
+        k = gram_linear(x)
+        norm = frobenius_norm(k)
+    else:
+        k = None
+        norm = float(np.linalg.norm(x.T @ x))
+    return PreparedLayer(kind, x, norm == 0.0, gram=k, norm=norm)
+
+
+def _pair_linear_cka(kind, a, b):
+    if a.degenerate or b.degenerate:
+        return 0.0, True
+    if a.gram is not None and b.gram is not None:
+        num = float((a.gram * b.gram).sum())  # sum(K * L) = |Y^T X|_F^2
+    else:
+        num = float(np.linalg.norm(b.matrix.T @ a.matrix) ** 2)
+    return min(max(num / (a.norm * b.norm), 0.0), 1.0), False
+
+
+def _online_batches(n: int, kind):
+    """Row indices of online CKA's minibatches, in accumulation order.
+
+    A single batch holding every point needs no shuffle; keeping the input
+    order makes it agree exactly with the full-data estimator.
+    """
+    rng = np.random.default_rng(kind.seed or 0)
+    for _ in range(kind.passes):
+        order = rng.permutation(n) if kind.batch < n else np.arange(n)
+        starts = list(range(0, n, kind.batch))
+        if len(starts) > 1 and n - starts[-1] < 4:
+            starts.pop()  # fold short remainder into the previous batch
+        for i, s in enumerate(starts):
+            e = starts[i + 1] if i + 1 < len(starts) else n
+            yield order[s:e]
+
+
+def _prepare_online_cka(kind, x):
+    if x.shape[0] < 4:
+        raise ShapeError(f"need at least 4 points, got {x.shape[0]}")
+    # x[idx] - mean has the bits of (x - mean)[idx]: no centered copy is kept
+    mean = x.mean(axis=0, keepdims=True)
+    self_hsic = 0.0
+    for idx in _online_batches(x.shape[0], kind):
+        k = _zero_diagonal_gram(x[idx] - mean)
+        self_hsic += _hsic_unbiased(k, k)
+    return PreparedLayer(kind, x, mean=mean, norm=self_hsic)
+
+
+def _pair_online_cka(kind, a, b):
+    # an unbiased self-HSIC can be <= 0 for a non-constant layer too, so
+    # this 0 carries no degenerate flag
+    if a.norm <= 0.0 or b.norm <= 0.0:
+        return 0.0, False
+    if b is a:
+        num = a.norm  # the cross sums would repeat the self sums exactly
+    else:
+        num = 0.0
+        for idx in _online_batches(a.n, kind):
+            k = _zero_diagonal_gram(a.matrix[idx] - a.mean)
+            l = _zero_diagonal_gram(b.matrix[idx] - b.mean)
+            num += _hsic_unbiased(k, l)
+    return num / float(np.sqrt(a.norm * b.norm)), False
+
+
+def _canonical_mean(qx: np.ndarray, qy: np.ndarray) -> float:
+    """Mean canonical correlation of two orthonormal bases."""
+    try:
+        rho = np.linalg.svd(qx.T @ qy, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"CCA SVD failed: {exc}") from exc
+    return float(np.clip(rho, 0.0, 1.0).mean())
+
+
+def _require_rows_over_cols(n: int, *cols: int) -> None:
+    if n <= max(cols):
+        widths = "/".join(str(c) for c in cols)
+        raise ShapeError(f"CCA needs rows > cols, got {n} rows vs {widths} cols")
+
+
+def _prepare_mean_cca(kind, x):
+    x = _centered(x)
+    _require_rows_over_cols(*x.shape)
+    try:
+        q = _orthonormal_basis(x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"CCA SVD failed: {exc}") from exc
+    return PreparedLayer(kind, q, q.shape[1] == 0)
+
+
+def _pair_mean_cca(kind, a, b):
+    if a.degenerate or b.degenerate:
+        return 0.0, True
+    return _canonical_mean(a.matrix, b.matrix), False
+
+
+def _unit_columns(t: np.ndarray):
+    """The U_k of `svd_truncate`'s U_k S_k, or None when it is all zero.
+
+    The columns of U_k S_k are orthogonal, so dividing each by its norm (in
+    place) leaves an orthonormal basis of the truncated subspace.
+    """
+    norms = np.linalg.norm(t, axis=0)
+    if norms[0] == 0.0:
+        return None
+    t /= norms
+    return t
+
+
+def _prepare_svcca(kind, x):
+    # the truncation stays in the pair step: the traced self-check in
+    # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
+    return PreparedLayer(kind, x)
+
+
+def _pair_svcca(kind, a, b):
+    xt = svd_truncate(center_columns(a.matrix), kind.variance_fraction)
+    yt = svd_truncate(center_columns(b.matrix), kind.variance_fraction)
+    _require_rows_over_cols(xt.shape[0], xt.shape[1], yt.shape[1])
+    qx = _unit_columns(xt)
+    qy = _unit_columns(yt)
+    if qx is None or qy is None:
+        return 0.0, True
+    return _canonical_mean(qx, qy), False
+
+
+def _prepare_procrustes(kind, x):
+    x = _centered(x)
+    f = np.linalg.norm(x)
+    if f == 0.0:
+        return PreparedLayer(kind, x, True)
+    return PreparedLayer(kind, gram_factor(x / f))
+
+
+def _pair_procrustes(kind, a, b):
+    if a.degenerate or b.degenerate:
+        return 0.0, True
+    x, y = a.matrix, b.matrix
     if x.shape[1] < y.shape[1]:
         x = np.pad(x, ((0, 0), (0, y.shape[1] - x.shape[1])))
     elif y.shape[1] < x.shape[1]:
         y = np.pad(y, ((0, 0), (0, x.shape[1] - y.shape[1])))
-    val = min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0)
-    return (val, False) if with_flag else val
+    return min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0), False
 
 
-METRIC_NAMES = ("linear_cka", "online_cka", "mean_cca", "svcca", "procrustes")
+# per metric: (prepare one layer, score a pair of prepared layers)
+_STEPS = {
+    "linear_cka": (_prepare_linear_cka, _pair_linear_cka),
+    "online_cka": (_prepare_online_cka, _pair_online_cka),
+    "mean_cca": (_prepare_mean_cca, _pair_mean_cca),
+    "svcca": (_prepare_svcca, _pair_svcca),
+    "procrustes": (_prepare_procrustes, _pair_procrustes),
+}
+
+METRIC_NAMES = tuple(_STEPS)
 
 # JSON fields of a metric object: accepted types and how to name them;
 # every field but "name" may be absent or null
@@ -305,7 +430,7 @@ class MetricKind:
 
     def __post_init__(self):
         if self.name not in METRIC_NAMES:
-            raise ValidationError(f"unknown metric {self.name!r}")
+            raise ConfigError(f"unknown metric {self.name!r}")
         if self.name == "online_cka":
             if self.batch is None or self.batch < 2:
                 raise ValidationError("online_cka needs batch >= 2")
@@ -340,17 +465,21 @@ class MetricKind:
     def value_range(self) -> tuple:
         return (0.0, 2.0) if self.name == "procrustes" else (0.0, 1.0)
 
+    def prepare(self, x, name: str = "x") -> PreparedLayer:
+        """Validate one n x p layer and do this metric's per-layer work once."""
+        return _STEPS[self.name][0](self, as_matrix(x, name))
+
     def evaluate(self, x, y, with_flag: bool = False):
-        if self.name == "linear_cka":
-            return linear_cka(x, y, with_flag=with_flag)
-        if self.name == "online_cka":
-            val = online_cka(x, y, self.batch, self.passes, self.seed or 0)
-            return (val, False) if with_flag else val
-        if self.name == "mean_cca":
-            return mean_cca(x, y, with_flag=with_flag)
-        if self.name == "svcca":
-            return svcca(x, y, self.variance_fraction, with_flag=with_flag)
-        return procrustes_similarity(x, y, with_flag=with_flag)
+        """Score one pair of layers, given raw or as `prepare` returned them."""
+        a = x if isinstance(x, PreparedLayer) else self.prepare(x, "x")
+        b = y if isinstance(y, PreparedLayer) else self.prepare(y, "y")
+        if a.metric != self or b.metric != self:
+            raise ValidationError(f"layer was not prepared for {self!r}")
+        if a.n != b.n:
+            error = AlignmentError if self.name == "online_cka" else ShapeError
+            raise error(f"row counts differ: {a.n} vs {b.n}")
+        val, flag = _STEPS[self.name][1](self, a, b)
+        return (val, flag) if with_flag else val
 
     def to_json(self) -> dict:
         d = {"name": self.name}
@@ -366,7 +495,7 @@ class MetricKind:
             raise ConfigError(f"metric must be an object, got {d!r}")
         unknown = set(d) - set(_FIELD_TYPES)
         if unknown:
-            raise ValidationError(f"unknown metric keys {sorted(unknown)}")
+            raise ConfigError(f"unknown metric keys {sorted(unknown)}")
         for key, (types, what) in _FIELD_TYPES.items():
             v = d.get(key)
             if v is None and key != "name":
@@ -479,20 +608,22 @@ def _cell_mask(cells, shape: tuple, base_path: str) -> np.ndarray:
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):
     """Evaluate `metric` over every (layer of a) x (layer of b) pair.
 
-    When both sets are the same object the grid is evaluated on the upper
-    triangle and mirrored (every metric here is symmetric).
+    Each distinct layer is prepared once, then every cell runs the metric's
+    pair step on the prepared layers. When both sets are the same object
+    the grid is evaluated on the upper triangle and mirrored (every metric
+    here is symmetric).
     """
     if a.n != b.n:
         raise ShapeError(f"probe sizes differ: {a.n} vs {b.n}")
-    na, nb = len(a.records), len(b.records)
+    same = a is b
+    pa = [metric.prepare(r.matrix) for r in a.records]
+    pb = pa if same else [metric.prepare(r.matrix) for r in b.records]
+    na, nb = len(pa), len(pb)
     values = np.zeros((na, nb))
     degenerate = np.zeros((na, nb), dtype=bool)
-    same = a is b
     for i in range(na):
         for j in range(i if same else 0, nb):
-            val, flag = metric.evaluate(
-                a.records[i].matrix, b.records[j].matrix, with_flag=True
-            )
+            val, flag = metric.evaluate(pa[i], pb[j], with_flag=True)
             values[i, j] = val
             degenerate[i, j] = flag
             if same:

@@ -163,11 +163,14 @@ def test_experiment_command(pipeline, tmp_path):
         assert "long_range_score" in json.load(fh)
 
 
-def test_experiment_bad_metric_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("metric", [
+    {}, {"name": "linear_cka", "bogus": 1}, {"name": "nope"},
+], ids=["no-name", "unknown-key", "unknown-name"])
+def test_experiment_bad_metric_exits_2(tmp_path, capsys, metric):
     spec = write_json(
         tmp_path / "exp.json",
         {"schema_version": 1,
-         "experiment": {"kind": "crosslayer", "runs": [str(tmp_path)], "metric": {}}},
+         "experiment": {"kind": "crosslayer", "runs": [str(tmp_path)], "metric": metric}},
     )
     assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "exp")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
