@@ -65,3 +65,34 @@ class TruncatedError(FormatError):
 
 class ManifestError(FormatError):
     """Manifest is missing, malformed, or disagrees with the records."""
+
+
+def check_json_fields(d, fields: dict, what: str, required=()) -> dict:
+    """Type-check one JSON object and return it without its null fields.
+
+    `fields` maps every allowed key to (types, description); a one-item
+    list [types] means a list whose items all have those types. A key in
+    `required` must be present and not null. A non-object, an unknown key
+    or a value of another type raises ConfigError; a bool is never taken
+    for a number.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
+    out = {}
+    for key, (types, description) in fields.items():
+        v = d.get(key)
+        if v is None and key not in required:
+            continue
+        if not _has_types(v, types):
+            raise ConfigError(f"{what} {d!r}: {key!r} must be {description}")
+        out[key] = v
+    return out
+
+
+def _has_types(v, types) -> bool:
+    if isinstance(types, list):
+        return isinstance(v, list) and all(_has_types(x, types[0]) for x in v)
+    return not isinstance(v, bool) and isinstance(v, types)

@@ -16,7 +16,13 @@ import numpy as np
 
 from . import nets
 from .activations import Condition, read_dump, record_activations
-from .errors import ConfigError, ProbeMismatchError, ShapeError, ValidationError
+from .errors import (
+    ConfigError,
+    ProbeMismatchError,
+    ShapeError,
+    ValidationError,
+    check_json_fields,
+)
 from .nets import Batch
 from .ppm import write_heatmap
 from .simmetrics import MetricKind, SimilarityMatrix, block_structure_score, crosslayer_matrix
@@ -47,22 +53,36 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.condition not in ("benign", "adv"):
+            raise ConfigError(f"unknown condition {self.condition!r}")
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment keys {sorted(unknown)}")
+        d = check_json_fields(d, _FIELD_TYPES, "experiment", ("kind",))
         if "metric" in d:
             d["metric"] = MetricKind.from_json(d["metric"])
-        if "threat" in d and d["threat"] is not None:
+        if "threat" in d:
             d["threat"] = ThreatModel.from_json(d["threat"])
-        for key in ("runs", "labels", "eps_values", "width_values", "taps"):
-            if key in d:
+        for key, (types, _) in _FIELD_TYPES.items():
+            if key in d and isinstance(types, list):
                 d[key] = tuple(d[key])
         return cls(**d)
+
+
+# JSON fields of an experiment object, for `check_json_fields`
+_FIELD_TYPES = {
+    "kind": (str, "a string"),
+    "runs": ([str], "a list of strings"),
+    "labels": ([str], "a list of strings"),
+    "metric": (dict, "an object"),
+    "condition": (str, "a string"),
+    "min_lag": (int, "an integer"),
+    "eps_values": ([(int, float)], "a list of numbers"),
+    "width_values": ([int], "a list of integers"),
+    "taps": ([int], "a list of integers"),
+    "threat": (dict, "an object"),
+    "data_path": (str, "a string"),
+}
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
@@ -305,14 +325,15 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
     heatmaps = {}
     for t in tap_ids:
         k = index_of[t]
-        mats = [s.records[k].matrix for s in sets]
-        final = mats[-1]
-        series[t] = np.array([spec.metric.evaluate(m, final) for m in mats])
-        h = np.zeros((len(mats), len(mats)))
-        for i in range(len(mats)):
-            h[i, i] = spec.metric.evaluate(mats[i], mats[i])
-            for j in range(i + 1, len(mats)):
-                h[i, j] = h[j, i] = spec.metric.evaluate(mats[i], mats[j])
+        # each (tap, epoch) layer is prepared once for all its cells
+        layers = [spec.metric.prepare(s.records[k].matrix) for s in sets]
+        final = layers[-1]
+        series[t] = np.array([spec.metric.evaluate(m, final) for m in layers])
+        h = np.zeros((len(layers), len(layers)))
+        for i in range(len(layers)):
+            h[i, i] = spec.metric.evaluate(layers[i], layers[i])
+            for j in range(i + 1, len(layers)):
+                h[i, j] = h[j, i] = spec.metric.evaluate(layers[i], layers[j])
         heatmaps[t] = h
     os.makedirs(out_dir, exist_ok=True)
     _write_curve(

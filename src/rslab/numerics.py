@@ -78,19 +78,19 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     returns the n x k projection U_k S_k of m onto them. The caller is
     expected to pass a column-centered matrix.
 
-    Both routes take an SVD no larger than min(n, p) on a side, chosen from
-    the shape: a wide m (p > n) is factored through the n x n
-    `gram_factor(m)`, whose U and S are those of m, and the result is
-    U_k S_k; a tall m (p <= n) through the p x p R of m = Q R, whose S and V
-    are those of m, and the result is m V_k, which equals U_k S_k. Neither
-    route changes a value beyond rounding.
+    Both routes take one SVD no larger than min(n, p) on a side, chosen from
+    the shape: a wide or square m (p >= n) is factored through the n x n
+    `gram_factor(m)` (m itself when square), whose U and S are those of m,
+    and the result is U_k S_k; a tall m (p < n) through the p x p R of
+    m = Q R, whose S and V are those of m, and the result is m V_k, which
+    equals U_k S_k. Neither route changes a value beyond rounding.
     """
     m = as_matrix(m)
     if not 0.0 < variance_fraction <= 1.0:
         raise ValidationError(
             f"variance_fraction must be in (0, 1], got {variance_fraction}"
         )
-    tall = m.shape[1] <= m.shape[0]
+    tall = m.shape[1] < m.shape[0]
     try:
         if tall:
             _, s, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))

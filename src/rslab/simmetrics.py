@@ -20,9 +20,12 @@ the same code. What each metric prepares, and what its pair step does:
   only the cross term, so values match the one-pass estimator bit for bit.
 - mean CCA: the orthonormal basis of the centered column space; the pair
   step takes the singular values of Qx^T Qy.
-- SVCCA: validation only. The pair step centers and truncates both layers
-  with `numerics.svd_truncate` and divides the truncated columns by their
-  norms to get the CCA bases.
+- SVCCA: a square factor with the centered layer's singular values: R^T
+  from the QR of a tall layer (p < n), which keeps the centered layer too,
+  or the n x n `gram_factor` of a wide or square one. The pair step
+  truncates both factors with `numerics.svd_truncate`, turns the truncated
+  columns into weights of the layers' leading principal directions, and
+  takes the canonical correlations of those directions.
 - Procrustes: the centered, unit-norm `gram_factor` (n x n for a wide
   layer); the pair step pads the narrower factor and takes the nuclear norm.
 
@@ -48,6 +51,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     ValidationError,
+    check_json_fields,
 )
 from .numerics import (
     as_matrix,
@@ -223,7 +227,10 @@ class PreparedLayer:
 
     `matrix` is what the pair step multiplies: the centered matrix (linear
     CKA), the orthonormal basis (mean CCA), the unit-norm `gram_factor`
-    (Procrustes), or the validated input itself (online CKA and SVCCA).
+    (Procrustes), the square factor with the centered layer's singular
+    values (SVCCA), or the validated input itself (online CKA).
+    `centered` is a tall SVCCA layer's centered n x p matrix, kept next to
+    the p x p factor in `matrix` to map its directions back to the n rows.
     `gram` is a wide layer's n x n Gram (linear CKA), `mean` the column
     means (online CKA), and `norm` the layer's own denominator term:
     |X^T X|_F for linear CKA, the summed self-HSIC for online CKA.
@@ -233,13 +240,14 @@ class PreparedLayer:
     metric: "MetricKind"
     matrix: np.ndarray
     degenerate: bool = False
+    centered: np.ndarray | None = None
     gram: np.ndarray | None = None
     mean: np.ndarray | None = None
     norm: float = 0.0
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return (self.matrix if self.centered is None else self.centered).shape[0]
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -316,10 +324,10 @@ def _pair_online_cka(kind, a, b):
     return num / float(np.sqrt(a.norm * b.norm)), False
 
 
-def _canonical_mean(qx: np.ndarray, qy: np.ndarray) -> float:
-    """Mean canonical correlation of two orthonormal bases."""
+def _canonical_mean(c: np.ndarray) -> float:
+    """Mean canonical correlation, given Qx^T Qy of two orthonormal bases."""
     try:
-        rho = np.linalg.svd(qx.T @ qy, compute_uv=False)
+        rho = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"CCA SVD failed: {exc}") from exc
     return float(np.clip(rho, 0.0, 1.0).mean())
@@ -344,37 +352,48 @@ def _prepare_mean_cca(kind, x):
 def _pair_mean_cca(kind, a, b):
     if a.degenerate or b.degenerate:
         return 0.0, True
-    return _canonical_mean(a.matrix, b.matrix), False
-
-
-def _unit_columns(t: np.ndarray):
-    """The U_k of `svd_truncate`'s U_k S_k, or None when it is all zero.
-
-    The columns of U_k S_k are orthogonal, so dividing each by its norm (in
-    place) leaves an orthonormal basis of the truncated subspace.
-    """
-    norms = np.linalg.norm(t, axis=0)
-    if norms[0] == 0.0:
-        return None
-    t /= norms
-    return t
+    return _canonical_mean(a.matrix.T @ b.matrix), False
 
 
 def _prepare_svcca(kind, x):
-    # the truncation stays in the pair step: the traced self-check in
+    # factor once, but truncate in the pair step: the traced self-check in
     # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
-    return PreparedLayer(kind, x)
+    x = center_columns(x)
+    if x.shape[1] < x.shape[0]:
+        # x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
+        return PreparedLayer(kind, np.linalg.qr(x, mode="r").T, centered=x)
+    return PreparedLayer(kind, gram_factor(x))
+
+
+def _principal_weights(layer, t: np.ndarray):
+    """W with U_k = A W, or None when the truncation t is all zero.
+
+    t is U_k S_k of a wide or square layer, where A is the identity, and
+    V_k S_k of a tall one, where A is the centered layer: X V_k = U_k S_k.
+    """
+    s2 = (t * t).sum(axis=0)
+    if s2[0] == 0.0:
+        return None
+    return t / np.sqrt(s2) if layer.centered is None else t / s2
+
+
+def _in_rows(layer, w: np.ndarray) -> np.ndarray:
+    return w if layer.centered is None else layer.centered @ w
 
 
 def _pair_svcca(kind, a, b):
-    xt = svd_truncate(center_columns(a.matrix), kind.variance_fraction)
-    yt = svd_truncate(center_columns(b.matrix), kind.variance_fraction)
-    _require_rows_over_cols(xt.shape[0], xt.shape[1], yt.shape[1])
-    qx = _unit_columns(xt)
-    qy = _unit_columns(yt)
-    if qx is None or qy is None:
+    # both factors are square, so each truncation is one small SVD
+    xt = svd_truncate(a.matrix, kind.variance_fraction)
+    yt = svd_truncate(b.matrix, kind.variance_fraction)
+    _require_rows_over_cols(a.n, xt.shape[1], yt.shape[1])
+    wx = _principal_weights(a, xt)
+    wy = _principal_weights(b, yt)
+    if wx is None or wy is None:
         return 0.0, True
-    return _canonical_mean(qx, qy), False
+    if a.centered is not None and b.centered is not None:
+        # two tall layers: one p x p product over the n rows
+        return _canonical_mean(wx.T @ (a.centered.T @ b.centered) @ wy), False
+    return _canonical_mean(_in_rows(a, wx).T @ _in_rows(b, wy)), False
 
 
 def _prepare_procrustes(kind, x):
@@ -407,8 +426,7 @@ _STEPS = {
 
 METRIC_NAMES = tuple(_STEPS)
 
-# JSON fields of a metric object: accepted types and how to name them;
-# every field but "name" may be absent or null
+# JSON fields of a metric object, for `check_json_fields`
 _FIELD_TYPES = {
     "name": (str, "a string"),
     "batch": (int, "an integer"),
@@ -491,19 +509,7 @@ class MetricKind:
 
     @classmethod
     def from_json(cls, d: dict) -> "MetricKind":
-        if not isinstance(d, dict):
-            raise ConfigError(f"metric must be an object, got {d!r}")
-        unknown = set(d) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown metric keys {sorted(unknown)}")
-        for key, (types, what) in _FIELD_TYPES.items():
-            v = d.get(key)
-            if v is None and key != "name":
-                continue
-            # a bool is an int, but never a valid count or fraction
-            if isinstance(v, bool) or not isinstance(v, types):
-                raise ConfigError(f"metric {d!r}: {key!r} must be {what}")
-        return cls(**d)
+        return cls(**check_json_fields(d, _FIELD_TYPES, "metric", ("name",)))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import THREAT_KINDS
-from .errors import KindError, ShapeError, ValidationError
+from .errors import KindError, ShapeError, ValidationError, check_json_fields
 from .nets import Batch, NetworkGraph, forward, loss_and_grad, predict
 
 
@@ -56,11 +56,16 @@ class ThreatModel:
 
     @classmethod
     def from_json(cls, d: dict) -> "ThreatModel":
-        allowed = {"kind", "epsilon", "steps", "step_size"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValidationError(f"unknown threat keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**check_json_fields(d, _FIELD_TYPES, "threat", ("kind", "epsilon")))
+
+
+# JSON fields of a threat object, for `check_json_fields`
+_FIELD_TYPES = {
+    "kind": (str, "a string"),
+    "epsilon": ((int, float), "a number"),
+    "steps": (int, "an integer"),
+    "step_size": ((int, float), "a number"),
+}
 
 
 @dataclass
@@ -199,13 +204,6 @@ def jpeg_attack(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> Advers
         delta = np.clip(delta + alpha * np.sign(gc), -eps, eps)
     return _finish(net, x0, decode(delta), labels, threat,
                    aux={"coeff_delta": delta})
-
-
-def coefficient_delta(adv: AdversarialBatch) -> np.ndarray:
-    """Block-DCT coefficient difference between perturbed and original images."""
-    xp, _ = _pad_to_8(adv.perturbed)
-    op, _ = _pad_to_8(adv.originals)
-    return block_dct(xp) - block_dct(op)
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,69 @@ def test_seed_threading_determinism(pipeline, tmp_path):
             os.path.join(out_b, sub), "rb"
         ) as fb:
             assert fa.read() == fb.read(), sub
+
+
+# values a fuzzed spec field may take: every JSON type, in and out of range
+FUZZ_VALUES = (None, True, -1, 0, 2, 0.5, 1e300, "", "adv", "svcca", [], [0], ["x"], {},
+               {"name": "linear_cka"})
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(doc, rng):
+    """A copy of doc with one node deleted, replaced, or given a sibling."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_json_paths(doc))[1:]
+    path = paths[int(rng.integers(0, len(paths)))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = FUZZ_VALUES[int(rng.integers(0, len(FUZZ_VALUES)))]
+    op = int(rng.integers(0, 3))
+    if op == 0:
+        del parent[path[-1]]
+    elif op == 1:
+        parent[path[-1]] = value
+    elif isinstance(parent, dict):
+        parent["bogus"] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, capsys):
+    # every mutated spec either runs or ends in a documented exit code with a
+    # JSON error on stderr; an exception escaping cli.main fails the test
+    _, data_path, _, run_dir = pipeline
+    threat = {"kind": "linf", "epsilon": 0.05, "steps": 1, "step_size": 0.02}
+    bases = [
+        {"kind": "crosslayer", "runs": [run_dir], "min_lag": 2,
+         "metric": {"name": "svcca", "variance_fraction": 0.9}},
+        {"kind": "evolution", "runs": [run_dir], "taps": [1, 5],
+         "metric": {"name": "online_cka", "batch": 8, "passes": 1, "seed": 2}},
+        {"kind": "divergence", "runs": [run_dir], "metric": {"name": "procrustes"}},
+        {"kind": "grid", "runs": [run_dir, run_dir], "eps_values": [0.0, 0.1],
+         "width_values": [1, 1], "condition": "adv"},
+        {"kind": "transfer", "runs": [run_dir], "labels": ["m"], "threat": threat,
+         "data_path": data_path},
+        {"kind": "threatgrid", "runs": [run_dir, run_dir], "labels": ["a", "b"]},
+    ]
+    rng = np.random.default_rng(17)
+    codes = set()
+    for trial in range(150):
+        doc = {"schema_version": 1, "experiment": bases[trial % len(bases)]}
+        for _ in range(int(rng.integers(1, 3))):
+            doc = _mutate(doc, rng)
+        spec = write_json(tmp_path / "spec.json", doc)
+        code = run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "o"), "--force")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), doc
+        if code:
+            assert json.loads(err)["error"] in ("config", "io", "numerical", "validation")
+        codes.add(code)
+    assert {0, 2} <= codes

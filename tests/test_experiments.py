@@ -127,6 +127,26 @@ def test_evolution_series_and_heatmaps(tiny_run, tmp_path):
     assert summary["final_epoch"] == 3
 
 
+def test_evolution_prepares_each_layer_once(tiny_run, tmp_path, monkeypatch):
+    run_dir, _ = tiny_run
+    taps = (6, 18)
+    prepared = []
+    prepare = MetricKind.prepare
+
+    def counted(self, x, name="x"):
+        prepared.append(self.name)
+        return prepare(self, x, name)
+
+    monkeypatch.setattr(MetricKind, "prepare", counted)
+    for metric in (MetricKind.linear_cka(), MetricKind.online_cka(8, 2, 1)):
+        prepared.clear()
+        spec = experiments.ExperimentSpec(
+            kind="evolution", runs=(run_dir,), metric=metric, taps=taps
+        )
+        epochs, _, _ = experiments.run_evolution(spec, str(tmp_path / metric.name))
+        assert len(prepared) == len(taps) * len(epochs)
+
+
 def test_grid_single_cell_equals_crosslayer(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     xspec = experiments.ExperimentSpec(kind="crosslayer", runs=(run_dir,))
@@ -206,6 +226,15 @@ def test_experiment_spec_validation():
         experiments.ExperimentSpec(kind="nope")
     with pytest.raises(ConfigError):
         experiments.ExperimentSpec.from_json({"kind": "crosslayer", "bogus": 1})
+    for bad in (
+        [], {}, {"runs": ["r"]}, {"kind": "crosslayer", "runs": None, "taps": [1, [2]]},
+        {"kind": "crosslayer", "runs": "r"}, {"kind": "crosslayer", "min_lag": True},
+        {"kind": "crosslayer", "condition": "clean"},
+        {"kind": "transfer", "threat": {"kind": "linf", "epsilon": "0.1"}},
+        {"kind": "transfer", "threat": {"kind": "linf", "epsilon": 0.1, "bogus": 1}},
+    ):
+        with pytest.raises(ConfigError):
+            experiments.ExperimentSpec.from_json(bad)
     spec = experiments.ExperimentSpec.from_json(
         {"kind": "crosslayer", "runs": ["r"], "metric": {"name": "procrustes"}}
     )

@@ -127,16 +127,18 @@ def test_svd_truncate_count_matches_cumsum_oracle():
 
 def test_svd_truncate_tall_matches_jacobi_projection():
     # tall and rank deficient: three all-zero columns, like dead ReLU units,
-    # through the p x p R-factor route
+    # through the p x p R-factor route; and square, through one direct SVD
     rng = np.random.default_rng(8)
-    m = numerics.center_columns(rng.normal(size=(64, 12)))
-    m[:, [2, 7, 11]] = 0.0
-    for frac in (0.5, 0.9, 0.99, 1.0):
-        proj = numerics.svd_truncate(m, frac)
-        expected = oracles.principal_projection(m, frac)
-        assert proj.shape == expected.shape
-        signs = np.sign((proj * expected).sum(axis=0))
-        assert np.abs(proj - expected * signs).max() <= 1e-10
+    tall = numerics.center_columns(rng.normal(size=(64, 12)))
+    tall[:, [2, 7, 11]] = 0.0
+    square = numerics.center_columns(rng.normal(size=(12, 12)))
+    for m in (tall, square):
+        for frac in (0.5, 0.9, 0.99, 1.0):
+            proj = numerics.svd_truncate(m, frac)
+            expected = oracles.principal_projection(m, frac)
+            assert proj.shape == expected.shape
+            signs = np.sign((proj * expected).sum(axis=0))
+            assert np.abs(proj - expected * signs).max() <= 1e-10
     assert np.array_equal(numerics.svd_truncate(np.zeros((64, 12)), 0.9), np.zeros((64, 1)))
 
 

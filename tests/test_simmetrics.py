@@ -287,10 +287,15 @@ def test_svcca_self():
 
 def test_svcca_matches_composed_oracles():
     rng = np.random.default_rng(23)
-    for n, px, py in ((40, 6, 6),) + WIDE_SHAPES:
+    # beyond tall and wide: a tall x with three all-zero columns (dead units,
+    # so its R factor is singular), and a square pair (n = p)
+    shapes = ((40, 6, 6),) + WIDE_SHAPES + ((40, 8, 5), (12, 12, 12))
+    for n, px, py in shapes:
         h = oracles.centering_matrix(n)
         x = rng.normal(size=(n, px))
         y = rng.normal(size=(n, py))
+        if px == 8:
+            x[:, [1, 4, 6]] = 0.0
         xt = oracles.principal_projection(h @ x, 0.9)
         yt = oracles.principal_projection(h @ y, 0.9)
         expected = float(oracles.cca_ascent(xt, yt).mean())
@@ -540,6 +545,37 @@ def test_crosslayer_prepares_each_layer_once(monkeypatch):
     assert len(truncations) == 2 * (4 * 5 // 2)
     sm.crosslayer_matrix(a, b, sm.MetricKind.svcca(0.9))
     assert len(truncations) == 2 * (4 * 5 // 2) + 2 * 4 * 3
+    # but each layer is factored once per grid: one QR per tall layer, or
+    # one inside `gram_factor` per wide one; no layer here is square, and
+    # the truncations of the square factors run no QR
+    z = rng.normal(size=(16, 2))
+    c = _set_with_constant_layer(rng, z, (40, 24, 5), "c")
+    d = _set_with_constant_layer(rng, z, (3, 30), "d")
+    factorings = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        factorings.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    sm.crosslayer_matrix(c, c, sm.MetricKind.svcca(0.9))
+    assert len(factorings) == 4
+    sm.crosslayer_matrix(c, d, sm.MetricKind.svcca(0.9))
+    assert len(factorings) == 4 + 4 + 3
+
+
+def test_svcca_row_mismatch_raises():
+    rng = np.random.default_rng(39)
+    metric = sm.MetricKind.svcca(0.9)
+    # every p equals the other side's n or p, so only the row counts differ
+    tall_a, tall_b = rng.normal(size=(30, 10)), rng.normal(size=(20, 10))
+    wide = rng.normal(size=(10, 25))
+    for x, y in ((tall_a, tall_b), (wide, tall_b), (tall_a, wide)):
+        with pytest.raises(ShapeError):
+            metric.evaluate(x, y)
+        with pytest.raises(ShapeError):
+            metric.evaluate(metric.prepare(x), metric.prepare(y))
 
 
 def test_similarity_matrix_save_load(tmp_path):

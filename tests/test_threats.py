@@ -62,6 +62,14 @@ def test_l2_constraint(trained):
     assert norms.max() <= 1.0 + 1e-6
 
 
+def coefficient_delta(adv):
+    """Block-DCT coefficient difference between perturbed and original images."""
+    def padded(x):
+        return np.pad(x, ((0, 0), (0, 0), (0, -x.shape[2] % 8), (0, -x.shape[3] % 8)))
+
+    return threats.block_dct(padded(adv.perturbed)) - threats.block_dct(padded(adv.originals))
+
+
 def test_jpeg_coefficient_constraint(trained):
     net, data = trained
     # keep pixels interior so the [0,1] clip stays inactive and the
@@ -76,7 +84,7 @@ def test_jpeg_coefficient_constraint(trained):
         | np.isclose(adv.perturbed, 1.0).any(axis=(1, 2, 3))
     )
     assert unclipped.any()
-    measured = threats.coefficient_delta(adv)
+    measured = coefficient_delta(adv)
     assert np.abs(measured[unclipped]).max() <= 0.05 + 1e-9
 
 
