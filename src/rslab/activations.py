@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import container
+from . import container, errors
 from .errors import (
     AlignmentError,
     FormatError,
@@ -67,15 +67,7 @@ class Condition:
         return cls("adversarial", threat, float(epsilon))
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "adversarial":
-            d["threat"] = self.threat
-            d["epsilon"] = self.epsilon
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Condition":
-        return cls(d["kind"], d.get("threat"), d.get("epsilon"))
+        return errors.to_json(self)
 
 
 @dataclass

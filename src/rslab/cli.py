@@ -14,10 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import nets
+from . import errors, nets
 from .activations import THREAT_KINDS, Condition, read_dump, record_activations, write_dump
 from .errors import ConfigError, NumericalError, RslabError
 from .experiments import ExperimentSpec, run_experiment
@@ -42,24 +43,50 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _load_json(path) -> dict:
+@dataclass(frozen=True)
+class _DataDoc:
+    """`gen-data --spec` file."""
+
+    schema_version: int
+    dataset: DatasetSpec = field(default_factory=DatasetSpec)
+
+
+@dataclass(frozen=True)
+class _TrainDoc:
+    """`train --config` file; the net's class count comes from the dataset."""
+
+    schema_version: int
+    model_id: str = ""
+    arch: str = "miniresnet"
+    width: int = 1
+    data: str | None = None
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ConfigError("width must be >= 1")
+
+
+@dataclass(frozen=True)
+class _ExperimentDoc:
+    """`experiment --spec` file."""
+
+    schema_version: int
+    experiment: ExperimentSpec
+
+
+def _load_doc(path, cls):
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version}")
+    doc = errors.from_json(cls, doc, path)
+    if doc.schema_version != SCHEMA_VERSION:
+        raise ConfigError(
+            f"{path}: schema_version must be {SCHEMA_VERSION}, got {doc.schema_version}"
+        )
     return doc
-
-
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _check_out(path: str, force: bool) -> None:
@@ -79,12 +106,7 @@ def _threat_from_args(args) -> ThreatModel:
 
 def cmd_gen_data(args) -> int:
     _check_out(args.out, args.force)
-    if args.spec:
-        doc = _load_json(args.spec)
-        _reject_unknown(doc, {"schema_version", "dataset"}, args.spec)
-        spec = DatasetSpec.from_json(doc.get("dataset", {}))
-    else:
-        spec = DatasetSpec()
+    spec = _load_doc(args.spec, _DataDoc).dataset if args.spec else DatasetSpec()
     data = make_synthetic_dataset(spec, args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_dataset(data, args.out)
@@ -96,28 +118,23 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_json(args.config)
-    allowed = {"schema_version", "model_id", "arch", "width", "classes", "data", "training"}
-    _reject_unknown(doc, allowed, args.config)
+    doc = _load_doc(args.config, _TrainDoc)
     _check_out(args.out, args.force)
-    config = TrainingConfig.from_json(doc.get("training", {}))
+    config = doc.training
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
-    data_path = args.data or doc.get("data")
+    data_path = args.data or doc.data
     if not data_path:
         raise ConfigError("dataset path missing: give --data or a 'data' key")
     data = load_dataset(data_path)
     net = nets.make_network(
-        doc.get("arch", "miniresnet"),
+        doc.arch,
         input_shape=data.train.inputs.shape[1:],
         classes=data.spec.classes,
-        width_factor=doc.get("width", 1),
+        width_factor=doc.width,
         seed=config.seed,
     )
-    model_id = doc.get("model_id", "")
-    _, trace = train(net, data, config, out_dir=args.out, model_id=model_id)
+    _, trace = train(net, data, config, out_dir=args.out, model_id=doc.model_id)
     last = trace.entries[-1]
     print(json.dumps({
         "out": args.out, "epochs": last.epoch, "benign_acc": last.benign_acc,
@@ -210,9 +227,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    doc = _load_json(args.spec)
-    _reject_unknown(doc, {"schema_version", "experiment"}, args.spec)
-    spec = ExperimentSpec.from_json(doc.get("experiment", {}))
+    spec = _load_doc(args.spec, _ExperimentDoc).experiment
     _check_out(args.out, args.force)
     run_experiment(spec, args.out)
     with open(os.path.join(args.out, "summary.json")) as fh:

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the JSON config codec.
 
 The CLI maps these onto exit codes: ConfigError -> 2, OSError -> 3,
 NumericalError -> 4, every other RslabError -> 5. Every file reader raises a
 FormatError subclass on malformed input, so a corrupt dataset, checkpoint or
 dump exits 5; a missing or unreadable file stays an OSError.
 """
+import dataclasses
+import types
+import typing
 
 
 class RslabError(Exception):
@@ -43,7 +46,7 @@ class ProbeMismatchError(ValidationError):
     """Activation dumps were recorded over different probe sets."""
 
 
-class KindError(ValidationError):
+class KindError(ConfigError):
     """Unsupported enum kind passed to a dispatch function."""
 
 
@@ -67,32 +70,56 @@ class ManifestError(FormatError):
     """Manifest is missing, malformed, or disagrees with the records."""
 
 
-def check_json_fields(d, fields: dict, what: str, required=()) -> dict:
-    """Type-check one JSON object and return it without its null fields.
+def from_json(cls, d, what: str):
+    """Build dataclass `cls` from the JSON object `d`, checking every field.
 
-    `fields` maps every allowed key to (types, description); a one-item
-    list [types] means a list whose items all have those types. A key in
-    `required` must be present and not null. A non-object, an unknown key
-    or a value of another type raises ConfigError; a bool is never taken
+    The allowed keys, the required keys (fields with no default) and each
+    value's type come from the dataclass fields and their annotations: str,
+    int, float (an int is accepted), bool, X | None, tuple[T, ...] (read from
+    a JSON list) and nested classes with their own `from_json`. Null means
+    the field is absent. A non-object, an unknown key, a missing required
+    key or a value of another type raises ConfigError; a bool is never taken
     for a number.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object, got {d!r}")
-    unknown = set(d) - set(fields)
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    shown = f"{what} {d!r}"
+    kwargs = {}
+    for f in fields:
+        v = d.get(f.name)
+        if v is not None:
+            kwargs[f.name] = _decode(v, hints[f.name], f"{shown}: {f.name!r}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{shown}: {f.name!r} is required")
+    return cls(**kwargs)
+
+
+def _decode(v, tp, where: str):
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None; v is not None
+        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        if not isinstance(v, list):
+            raise ConfigError(f"{where} must be a list of {item.__name__}")
+        return tuple(_decode(x, item, where) for x in v)
+    if hasattr(tp, "from_json"):
+        return tp.from_json(v)
+    allowed = (int, float) if tp is float else tp
+    if isinstance(v, bool) != (tp is bool) or not isinstance(v, allowed):
+        raise ConfigError(f"{where} must be {tp.__name__}")
+    return v
+
+
+def to_json(obj) -> dict:
+    """The JSON object of a dataclass: every non-None field, in field order."""
     out = {}
-    for key, (types, description) in fields.items():
-        v = d.get(key)
-        if v is None and key not in required:
-            continue
-        if not _has_types(v, types):
-            raise ConfigError(f"{what} {d!r}: {key!r} must be {description}")
-        out[key] = v
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if v is not None:
+            out[f.name] = v.to_json() if hasattr(v, "to_json") else v
     return out
-
-
-def _has_types(v, types) -> bool:
-    if isinstance(types, list):
-        return isinstance(v, list) and all(_has_types(x, types[0]) for x in v)
-    return not isinstance(v, bool) and isinstance(v, types)

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nets
+from . import errors, nets
 from .activations import Condition, read_dump, record_activations
 from .errors import (
     ConfigError,
     ProbeMismatchError,
     ShapeError,
     ValidationError,
-    check_json_fields,
 )
 from .nets import Batch
 from .ppm import write_heatmap
@@ -39,14 +38,14 @@ class ExperimentSpec:
     """Declarative description of one experiment family instance."""
 
     kind: str
-    runs: tuple = ()          # run directories (meaning depends on kind)
-    labels: tuple = ()        # display names aligned with runs
+    runs: tuple[str, ...] = ()    # run directories (meaning depends on kind)
+    labels: tuple[str, ...] = ()  # display names aligned with runs
     metric: MetricKind = field(default_factory=MetricKind.linear_cka)
     condition: str = "benign"  # which probe dump to use: benign | adv
     min_lag: int | None = None
-    eps_values: tuple = ()    # grid: epsilon per run
-    width_values: tuple = ()  # grid: width per run
-    taps: tuple = ()          # evolution: restrict to these layer indices
+    eps_values: tuple[float, ...] = ()  # grid: epsilon per run
+    width_values: tuple[int, ...] = ()  # grid: width per run
+    taps: tuple[int, ...] = ()          # evolution: restrict to these layer indices
     threat: ThreatModel | None = None  # transfer: attack to generate
     data_path: str | None = None       # transfer: dataset file
 
@@ -58,31 +57,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentSpec":
-        d = check_json_fields(d, _FIELD_TYPES, "experiment", ("kind",))
-        if "metric" in d:
-            d["metric"] = MetricKind.from_json(d["metric"])
-        if "threat" in d:
-            d["threat"] = ThreatModel.from_json(d["threat"])
-        for key, (types, _) in _FIELD_TYPES.items():
-            if key in d and isinstance(types, list):
-                d[key] = tuple(d[key])
-        return cls(**d)
-
-
-# JSON fields of an experiment object, for `check_json_fields`
-_FIELD_TYPES = {
-    "kind": (str, "a string"),
-    "runs": ([str], "a list of strings"),
-    "labels": ([str], "a list of strings"),
-    "metric": (dict, "an object"),
-    "condition": (str, "a string"),
-    "min_lag": (int, "an integer"),
-    "eps_values": ([(int, float)], "a list of numbers"),
-    "width_values": ([int], "a list of integers"),
-    "taps": ([int], "a list of integers"),
-    "threat": (dict, "an object"),
-    "data_path": (str, "a string"),
-}
+        return errors.from_json(cls, d, "experiment")
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:

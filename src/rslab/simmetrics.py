@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -51,7 +52,6 @@ from .errors import (
     NumericalError,
     ShapeError,
     ValidationError,
-    check_json_fields,
 )
 from .numerics import (
     as_matrix,
@@ -426,15 +426,6 @@ _STEPS = {
 
 METRIC_NAMES = tuple(_STEPS)
 
-# JSON fields of a metric object, for `check_json_fields`
-_FIELD_TYPES = {
-    "name": (str, "a string"),
-    "batch": (int, "an integer"),
-    "passes": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "variance_fraction": ((int, float), "a number"),
-}
-
 
 @dataclass(frozen=True)
 class MetricKind:
@@ -454,6 +445,8 @@ class MetricKind:
                 raise ValidationError("online_cka needs batch >= 2")
             if self.passes is None or self.passes < 1:
                 raise ValidationError("online_cka needs passes >= 1")
+            if self.seed is not None and self.seed < 0:
+                raise ValidationError("online_cka needs seed >= 0")
         if self.name == "svcca":
             f = self.variance_fraction
             if f is None or not 0.0 < f <= 1.0:
@@ -500,16 +493,11 @@ class MetricKind:
         return (val, flag) if with_flag else val
 
     def to_json(self) -> dict:
-        d = {"name": self.name}
-        for k in ("batch", "passes", "seed", "variance_fraction"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
+        return errors.to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "MetricKind":
-        return cls(**check_json_fields(d, _FIELD_TYPES, "metric", ("name",)))
+        return errors.from_json(cls, d, "metric")
 
 
 @dataclass

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .activations import THREAT_KINDS
-from .errors import KindError, ShapeError, ValidationError, check_json_fields
+from .errors import KindError, ShapeError, ValidationError
 from .nets import Batch, NetworkGraph, forward, loss_and_grad, predict
 
 
@@ -49,23 +50,11 @@ class ThreatModel:
         return 2.5 * self.epsilon / self.steps
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind, "epsilon": self.epsilon, "steps": self.steps}
-        if self.step_size is not None:
-            d["step_size"] = self.step_size
-        return d
+        return errors.to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "ThreatModel":
-        return cls(**check_json_fields(d, _FIELD_TYPES, "threat", ("kind", "epsilon")))
-
-
-# JSON fields of a threat object, for `check_json_fields`
-_FIELD_TYPES = {
-    "kind": (str, "a string"),
-    "epsilon": ((int, float), "a number"),
-    "steps": (int, "an integer"),
-    "step_size": ((int, float), "a number"),
-}
+        return errors.from_json(cls, d, "threat")
 
 
 @dataclass
@@ -351,10 +340,7 @@ _ATTACKS = {
 
 def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
     """Dispatch to the attack implementing the threat's kind."""
-    fn = _ATTACKS.get(threat.kind)
-    if fn is None:
-        raise KindError(f"unknown threat kind {threat.kind!r}")
-    return fn(net, batch, threat, seed=seed)
+    return _ATTACKS[threat.kind](net, batch, threat, seed=seed)
 
 
 def evaluate_accuracy(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import nets
+from . import errors, nets
 from .activations import Condition, record_activations, write_dump
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .nets import Batch, NetworkGraph
@@ -64,6 +64,11 @@ class TrainingConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("batch_size", "probe_size", "val_adv_subset"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def effective_eval_threat(self) -> ThreatModel | None:
         if self.eval_threat is not None:
@@ -74,36 +79,11 @@ class TrainingConfig:
         return None
 
     def to_json(self) -> dict:
-        d = {
-            "method": self.method,
-            "beta": self.beta,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "lr_decay": self.lr_decay,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "probe_size": self.probe_size,
-            "val_adv_subset": self.val_adv_subset,
-        }
-        if self.threat is not None:
-            d["threat"] = self.threat.to_json()
-        if self.eval_threat is not None:
-            d["eval_threat"] = self.eval_threat.to_json()
-        return d
+        return errors.to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainingConfig":
-        d = dict(d)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown training keys {sorted(unknown)}")
-        for key in ("threat", "eval_threat"):
-            if key in d and d[key] is not None:
-                d[key] = ThreatModel.from_json(d[key])
-        return cls(**d)
+        return errors.from_json(cls, d, "training")
 
 
 @dataclass
@@ -206,19 +186,19 @@ class DatasetSpec:
     noise_std: float = 0.06
 
     def __post_init__(self):
-        if self.classes < 2 or self.size < 4 or self.n_train < self.classes:
+        if self.classes < 2 or self.size < 4 or self.n_train < self.classes or self.n_val < 1:
             raise ConfigError("degenerate dataset spec")
+        if self.channels < 1 or self.jitter < 0:
+            raise ConfigError("dataset needs channels >= 1 and jitter >= 0")
+        if not 0 < self.blob_sigma <= self.size:
+            raise ConfigError("blob_sigma must be in (0, size]")
 
     def to_json(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+        return errors.to_json(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown dataset keys {sorted(unknown)}")
-        return cls(**d)
+        return errors.from_json(cls, d, "dataset")
 
 
 @dataclass
@@ -242,7 +222,7 @@ def _render(spec: DatasetSpec, labels: np.ndarray, rng) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     centers = _class_centers(spec.classes, size)
     angles = np.pi * np.arange(spec.classes) / spec.classes
-    imgs = np.full((n, size, size), spec.background)
+    imgs = np.full((n, size, size), spec.background, dtype=np.float64)
     jit = rng.integers(-spec.jitter, spec.jitter + 1, size=(n, 2)) if spec.jitter else np.zeros((n, 2))
     phase = rng.uniform(0, 2 * np.pi, size=n)
     for i in range(n):

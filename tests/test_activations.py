@@ -254,6 +254,14 @@ def test_golden_bytes(tmp_path):
             assert np.array_equal(pb[k], pa[k].astype(np.float32).astype(np.float64))
 
 
+def test_condition_json():
+    # dump manifests carry this object; a benign condition has no threat keys
+    assert act.Condition.benign().to_json() == {"kind": "benign"}
+    assert act.Condition.adversarial("gabor", 0.25).to_json() == {
+        "kind": "adversarial", "threat": "gabor", "epsilon": 0.25,
+    }
+
+
 def test_set_invariants():
     rng = np.random.default_rng(9)
     rec = lambda i, n: act.ActivationRecord(

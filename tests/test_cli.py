@@ -86,6 +86,45 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     assert run_cli("train", "--config", bad, "--out", str(tmp_path / "r")) == 2
 
 
+@pytest.mark.parametrize("command,top,section", [
+    ("train", {}, {"epochs": "2"}),
+    ("train", {"training": "x"}, None),
+    ("train", {"width": "2"}, {}),
+    ("train", {"width": 0}, {}),
+    ("train", {"model_id": [1]}, {}),
+    ("train", {"classes": 2}, {}),
+    ("train", {}, {"batch_size": 0}),
+    ("train", {}, {"probe_size": 0}),
+    ("train", {}, {"lr_decay": 1}),
+    ("train", {}, {"method": "advpgd", "threat": {"kind": "nope", "epsilon": 0.1}}),
+    ("gen-data", {}, {"classes": "4"}),
+    ("gen-data", {}, {"noise_std": "x"}),
+    ("gen-data", {}, {"jitter": 1.5}),
+    ("gen-data", {}, {"jitter": -1}),
+    ("gen-data", {}, {"channels": -1}),
+    ("gen-data", {}, {"n_val": 0}),
+    ("experiment", {}, {"kind": "transfer", "threat": {"kind": "nope", "epsilon": 0.1}}),
+], ids=[
+    "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
+    "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
+    "classes-string", "noise-string", "jitter-float", "jitter-negative",
+    "channels-negative", "n-val-zero", "experiment-threat-kind",
+])
+def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
+    _, data_path, _, _ = pipeline
+    key, flag, base = {
+        "train": ("training", "--config", {"arch": "mlp-3", "data": data_path}),
+        "gen-data": ("dataset", "--spec", {}),
+        "experiment": ("experiment", "--spec", {}),
+    }[command]
+    doc = {"schema_version": 1, **base, **top}
+    if section is not None:
+        doc[key] = section
+    path = write_json(tmp_path / "doc.json", doc)
+    assert run_cli(command, flag, path, "--out", str(tmp_path / "o")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_train_rejects_bad_schema_version(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"schema_version": 9, "training": {}})
     assert run_cli("train", "--config", bad, "--out", str(tmp_path / "r")) == 2
@@ -256,9 +295,30 @@ def _mutate(doc, rng):
     return doc
 
 
+def _fuzz_exits_with_documented_code(docs, argv, trials, seed, tmp_path, capsys):
+    """Run `trials` seeded mutations of `docs` as `rslab <argv> FILE --out`.
+
+    Every mutated document either runs or ends in a documented exit code with
+    a JSON error on stderr; an exception escaping cli.main fails the test.
+    Returns the set of exit codes seen.
+    """
+    rng = np.random.default_rng(seed)
+    codes = set()
+    for trial in range(trials):
+        doc = docs[trial % len(docs)]
+        for _ in range(int(rng.integers(1, 3))):
+            doc = _mutate(doc, rng)
+        path = write_json(tmp_path / "doc.json", doc)
+        code = run_cli(*argv, path, "--out", str(tmp_path / "o"), "--force")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), doc
+        if code:
+            assert json.loads(err)["error"] in ("config", "io", "numerical", "validation")
+        codes.add(code)
+    return codes
+
+
 def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, capsys):
-    # every mutated spec either runs or ends in a documented exit code with a
-    # JSON error on stderr; an exception escaping cli.main fails the test
     _, data_path, _, run_dir = pipeline
     threat = {"kind": "linf", "epsilon": 0.05, "steps": 1, "step_size": 0.02}
     bases = [
@@ -273,17 +333,46 @@ def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, cap
          "data_path": data_path},
         {"kind": "threatgrid", "runs": [run_dir, run_dir], "labels": ["a", "b"]},
     ]
-    rng = np.random.default_rng(17)
-    codes = set()
-    for trial in range(150):
-        doc = {"schema_version": 1, "experiment": bases[trial % len(bases)]}
-        for _ in range(int(rng.integers(1, 3))):
-            doc = _mutate(doc, rng)
-        spec = write_json(tmp_path / "spec.json", doc)
-        code = run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "o"), "--force")
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3, 4, 5), doc
-        if code:
-            assert json.loads(err)["error"] in ("config", "io", "numerical", "validation")
-        codes.add(code)
+    docs = [{"schema_version": 1, "experiment": base} for base in bases]
+    codes = _fuzz_exits_with_documented_code(
+        docs, ("experiment", "--spec"), 150, 17, tmp_path, capsys
+    )
+    assert {0, 2} <= codes
+
+
+def test_train_config_fuzz_exits_with_documented_code(tmp_path, capsys):
+    # a tiny dataset keeps a mutation that drops "epochs" (default 40) cheap
+    data_path = str(tmp_path / "tiny.npz")
+    spec = write_json(tmp_path / "tiny.json", {
+        "schema_version": 1, "dataset": {"classes": 2, "size": 4, "n_train": 16, "n_val": 8},
+    })
+    assert run_cli("gen-data", "--spec", spec, "--out", data_path) == 0
+    doc = {
+        "schema_version": 1, "model_id": "f", "arch": "mlp-3", "width": 1,
+        "data": data_path,
+        "training": {
+            "method": "advpgd", "threat": {"kind": "linf", "epsilon": 0.05, "steps": 1},
+            "eval_threat": {"kind": "l2", "epsilon": 0.5, "steps": 1},
+            "epochs": 1, "batch_size": 16, "probe_size": 8, "val_adv_subset": 8,
+            "checkpoint_every": 0, "lr_decay": True, "seed": 1,
+        },
+    }
+    codes = _fuzz_exits_with_documented_code(
+        [doc], ("train", "--config"), 120, 23, tmp_path, capsys
+    )
+    assert {0, 2} <= codes
+
+
+def test_gen_data_spec_fuzz_exits_with_documented_code(tmp_path, capsys):
+    doc = {
+        "schema_version": 1,
+        "dataset": {
+            "classes": 2, "size": 8, "channels": 1, "n_train": 8, "n_val": 4,
+            "background": 0.3, "blob_amplitude": 0.5, "blob_sigma": 1.8, "jitter": 1,
+            "texture_amplitude": 0.1, "texture_cycles": 3.0, "noise_std": 0.05,
+        },
+    }
+    codes = _fuzz_exits_with_documented_code(
+        [doc], ("gen-data", "--spec"), 100, 29, tmp_path, capsys
+    )
     assert {0, 2} <= codes

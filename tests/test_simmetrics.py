@@ -271,6 +271,19 @@ def test_mean_cca_rank_deficient_projects():
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
+def test_mean_cca_self_on_ill_conditioned_tall_layer():
+    # dead ReLU units mixed by a dense map leave 8 singular values near
+    # 1e-8 * s1 after the float32 round trip; a route that forms X^T Y
+    # squares that condition number, so this pins the orthonormal basis
+    rng = np.random.default_rng(0)
+    h = np.maximum(rng.normal(size=(1024, 64)), 0.0)
+    h[:, :8] = 0.0
+    x = (h @ rng.normal(size=(64, 64)) + 0.1).astype(np.float32).astype(np.float64)
+    s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    assert s[-8] / s[0] < 1e-7 < s[-9] / s[0]
+    assert abs(sm.mean_cca(x, x) - 1.0) < 1e-12
+
+
 def test_svcca_full_fraction_equals_cca():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(30, 4))
