@@ -96,6 +96,14 @@ def _check_out(path: str, force: bool) -> None:
         raise ConfigError(f"output directory {path} is not empty; pass --force")
 
 
+def _check_counts(args) -> None:
+    """Reject a negative --seed or --limit; argparse checks only that they are ints."""
+    for name in ("seed", "limit"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            raise ConfigError(f"--{name} must be >= 0, got {v}")
+
+
 def _threat_from_args(args) -> ThreatModel:
     return ThreatModel(args.threat, args.eps, args.steps)
 
@@ -307,6 +315,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))

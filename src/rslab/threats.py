@@ -36,12 +36,14 @@ class ThreatModel:
     def __post_init__(self):
         if self.kind not in THREAT_KINDS:
             raise KindError(f"unknown threat kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValidationError("step_size must be positive")
+        if self.step_size is not None and not (
+            np.isfinite(self.step_size) and self.step_size > 0
+        ):
+            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
 
     @property
     def alpha(self) -> float:

@@ -69,6 +69,32 @@ def class_components(x: np.ndarray, y: np.ndarray, labels) -> tuple:
     return intra / d, inter / d
 
 
+def hsic_unbiased_loops(x: np.ndarray, y: np.ndarray) -> float:
+    """Unbiased HSIC (Song et al. 2012) by a double loop over i != j.
+
+    K_ij and L_ij are dot products of rows i and j, summed entry by entry
+    into the estimator's three terms: sum(K~ * L~), 1^T K~ 1 1^T L~ 1, and
+    1^T K~ L~ 1 from the row sums of the zero-diagonal Grams.
+    """
+    m = x.shape[0]
+    kl = sk = sl = 0.0
+    rows_k = [0.0] * m
+    rows_l = [0.0] * m
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            k = float(np.dot(x[i], x[j]))
+            l = float(np.dot(y[i], y[j]))
+            kl += k * l
+            sk += k
+            sl += l
+            rows_k[i] += k
+            rows_l[i] += l
+    kll = sum(a * b for a, b in zip(rows_k, rows_l))
+    return (kl + sk * sl / ((m - 1) * (m - 2)) - 2.0 * kll / (m - 2)) / (m * (m - 3))
+
+
 def jacobi_rotate_columns(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
     """One-sided Jacobi: rotate column pairs of m until A^T A is diagonal.
 

@@ -125,6 +125,44 @@ def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("gen-data", ["--seed", "-1"]),
+    ("attack", ["--seed", "-1"]),
+    ("record", ["--seed", "-3"]),
+    ("compare", ["--seed", "-1", "--metric", "online_cka", "--batch", "8"]),
+    ("attack", ["--limit", "-5"]),
+    ("record", ["--limit", "-5"]),
+], ids=["gen-data-seed", "attack-seed", "record-seed", "compare-seed", "attack-limit",
+        "record-limit"])
+def test_bad_argv_exits_2(pipeline, tmp_path, capsys, command, extra):
+    _, data_path, _, run_dir = pipeline
+    model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
+    dump = os.path.join(run_dir, "probes", "epoch_002_benign.rsam")
+    out = str(tmp_path / "o")
+    argv = {
+        "gen-data": [],
+        "attack": ["--model", model, "--data", data_path, "--threat", "linf",
+                   "--eps", "0.1", "--steps", "1", "--limit", "32"],
+        "record": ["--model", model, "--data", data_path, "--limit", "32"],
+        "compare": ["--a", dump, "--b", dump],
+    }[command]
+    assert run_cli(command, *argv, *extra, "--out", out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not os.path.exists(out)
+
+
+def test_attack_non_finite_eps_exits_5(pipeline, tmp_path, capsys):
+    _, data_path, _, run_dir = pipeline
+    model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
+    for eps in ("nan", "inf"):
+        code = run_cli(
+            "attack", "--model", model, "--data", data_path, "--threat", "linf",
+            "--eps", eps, "--steps", "1", "--limit", "8", "--out", str(tmp_path / eps),
+        )
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
 def test_train_rejects_bad_schema_version(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"schema_version": 9, "training": {}})
     assert run_cli("train", "--config", bad, "--out", str(tmp_path / "r")) == 2

@@ -178,7 +178,53 @@ def test_online_bad_params():
     with pytest.raises(ValidationError):
         sm.online_cka(x, x, batch=1)
     with pytest.raises(ValidationError):
+        # below the unbiased HSIC's 4 points: rejected before any batch runs
+        sm.MetricKind.online_cka(batch=3, passes=1, seed=0)
+    with pytest.raises(ValidationError):
         sm.online_cka(x, x, batch=4, passes=0)
+
+
+def _latent_batches(rng, m, px, py):
+    # a shared latent keeps the cross term well away from 0
+    z = rng.normal(size=(m, 2))
+    x = z @ rng.normal(size=(2, px)) + 0.5 * rng.normal(size=(m, px))
+    y = z @ rng.normal(size=(2, py)) + 0.5 * rng.normal(size=(m, py))
+    return x - x.mean(axis=0), y - y.mean(axis=0)
+
+
+def _assert_hsic_matches_loops(x, y):
+    scale = np.sqrt(oracles.hsic_unbiased_loops(x, x) * oracles.hsic_unbiased_loops(y, y))
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        ref = oracles.hsic_unbiased_loops(a, b)
+        assert abs(sm._hsic_unbiased(a, b) - ref) <= 1e-10 * scale
+
+
+# tall: every term from the features; wide: sum(K~ * L~) from the m x m
+# Grams; mixed: features for the cross and the narrow self term, Grams for
+# the wide self term
+@pytest.mark.parametrize("m, px, py", [(40, 3, 5), (8, 30, 24), (12, 2, 40)],
+                         ids=["tall", "wide", "mixed"])
+def test_hsic_unbiased_matches_loops(m, px, py):
+    _assert_hsic_matches_loops(*_latent_batches(np.random.default_rng(m), m, px, py))
+
+
+def test_hsic_self_term_equals_cross_term_of_a_copy():
+    # x.T @ x of one buffer would run SYRK, which at some shapes rounds
+    # differently from the GEMM that scores two equal layers
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        for p in (12, 30):
+            x = rng.normal(size=(40, p))
+            x -= x.mean(axis=0)
+            assert sm._hsic_unbiased(x, x) == sm._hsic_unbiased(x, x.copy())
+
+
+def test_hsic_unbiased_matches_loops_on_folded_batch():
+    rng = np.random.default_rng(13)
+    x, y = _latent_batches(rng, 19, 6, 3)
+    batches = list(sm._online_batches(19, sm.MetricKind.online_cka(8, 1, 0)))
+    assert [len(b) for b in batches] == [8, 11]  # the 3-row rest is folded
+    _assert_hsic_matches_loops(x[batches[-1]], y[batches[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +585,22 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(sm, name, counted)
     return calls
+
+
+def test_online_cka_forms_grams_only_for_wide_batches(monkeypatch):
+    rng = np.random.default_rng(40)
+    metric = sm.MetricKind.online_cka(batch=8, passes=2, seed=0)
+    grams = _count_calls(monkeypatch, "_zero_diagonal_gram")
+    tall = _set_with_constant_layer(rng, rng.normal(size=(64, 2)), (6, 3, 5), "t")
+    sm.crosslayer_matrix(tall, tall, metric)
+    assert grams == []
+    # 4 batches of 8 rows: the 40- and 12-wide layers' self terms take one
+    # Gram per batch, and their pair two; every pair with the 2-wide layer
+    # stays in feature space. A 12-wide self term's GEMM would cost 2 m p^2
+    # flops against the Gram's m^2 p.
+    wide = _set_with_constant_layer(rng, rng.normal(size=(16, 2)), (40, 12, 2), "w")
+    sm.crosslayer_matrix(wide, wide, metric)
+    assert len(grams) == 4 * (1 + 1 + 2)
 
 
 def test_crosslayer_prepares_each_layer_once(monkeypatch):

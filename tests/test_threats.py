@@ -259,6 +259,11 @@ def test_kind_errors(trained):
 def test_threat_validation():
     with pytest.raises(ValidationError):
         threats.ThreatModel("linf", -0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            threats.ThreatModel("linf", bad)
+        with pytest.raises(ValidationError):
+            threats.ThreatModel("linf", 0.1, step_size=bad)
     with pytest.raises(ValidationError):
         threats.ThreatModel("linf", 0.1, steps=0)
     with pytest.raises(ValidationError):
