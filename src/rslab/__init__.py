@@ -59,16 +59,7 @@ from .simmetrics import (
     svcca,
     unbiased_cka,
 )
-from .threats import (
-    AdversarialBatch,
-    ThreatModel,
-    evaluate_accuracy,
-    gabor_attack,
-    generate,
-    jpeg_attack,
-    pgd_attack,
-    snow_attack,
-)
+from .threats import AdversarialBatch, ThreatModel, evaluate_accuracy, generate
 from .training import (
     Dataset,
     DatasetSpec,

@@ -1,6 +1,9 @@
 """Command-line pipelines: data generation, training, attacks, recording,
 comparison, and full experiment families.
 
+`record` dumps a checkpoint's activations on the clean validation inputs;
+`attack` is the command that dumps activations on adversarial inputs.
+
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure,
 5 validation failure. Every file reader (datasets, RSCK checkpoints, RSAM
 dumps) raises a FormatError subclass on malformed input, which exits 5.
@@ -187,14 +190,8 @@ def cmd_record(args) -> int:
     sub = data.val
     if args.limit:
         sub = Batch(sub.inputs[: args.limit], sub.labels[: args.limit])
-    if args.condition == "benign":
-        cond = Condition.benign()
-    else:
-        if args.threat is None or args.eps is None:
-            raise ConfigError("adversarial condition needs --threat and --eps")
-        cond = Condition.adversarial(args.threat, args.eps)
     aset = record_activations(
-        net, sub, cond, model_id=os.path.basename(args.model), seed=args.seed
+        net, sub, Condition.benign(), model_id=os.path.basename(args.model), seed=args.seed
     )
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
@@ -280,12 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--force", action="store_true")
     a.set_defaults(fn=cmd_attack)
 
-    r = sub.add_parser("record", help="record activations of a checkpoint over a dataset")
+    r = sub.add_parser(
+        "record", help="record benign activations of a checkpoint over a dataset"
+    )
     r.add_argument("--model", required=True)
     r.add_argument("--data", required=True)
-    r.add_argument("--condition", default="benign", choices=("benign", "adversarial"))
-    r.add_argument("--threat", choices=THREAT_KINDS)
-    r.add_argument("--eps", type=float)
     r.add_argument("--limit", type=int, default=0)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True, help="output .rsam path")

@@ -7,13 +7,15 @@ single GEMM in float64; their input gradients use the dilated-correlation
 form so no scatter-adds are needed.
 
 Passes that take no parameter gradients (`forward`, `predict` and
-`loss_and_grad(..., need_param_grads=False)`, i.e. every attack step) run
-the batch through the whole net one block of images at a time, sized so a
-block's layer outputs fit in `_BLOCK_BYTES`; the im2col windows (`cols`) are
-kept only for weight gradients, which the training step takes over its whole
-batch. Every layer computes an image's outputs from that image's rows alone,
-so a block gives the bytes one pass over the whole batch gives, as long as
-BLAS sums each row of a product in the same order whatever the row count.
+`loss_and_grad(..., need_param_grads=False)`, which every cross-entropy
+attack step calls) run the batch through the whole net one block of images
+at a time, sized so a block's layer outputs fit in `_BLOCK_BYTES`. TRADES'
+KL ascent steps call `forward_cache` and `backward` directly, on one
+training batch at a time. The im2col windows (`cols`) are kept only for
+weight gradients, which the training step takes over its whole batch.
+Every layer computes an image's outputs from that image's rows alone, so a
+block gives the bytes one pass over the whole batch gives, as long as BLAS
+sums each row of a product in the same order whatever the row count.
 Two exceptions are known. A one-row product takes BLAS's matrix-vector path,
 so a block never holds a single row of a longer batch. OpenBLAS's
 small-matrix kernel sums a narrow product with a long inner dimension (such

@@ -1,11 +1,27 @@
 """Adversarial example generation under five constraint families.
 
-Every attack is loss ascent under a budget: pixel-space PGD for the two
-norm balls, PGD on 8x8 orthonormal block-DCT coefficients for "jpeg",
-projected ascent on a sparse amplitude field convolved with a fixed Gabor
-bank for "gabor", and nonnegative intensity ascent over seeded diagonal
-streak masks for "snow". Attacks are deterministic given (net params,
-batch, seed) and attack each point independently.
+Every attack is one budgeted loss ascent. A threat kind keeps a budgeted
+variable z and `_ascend` runs `threat.steps` of
+
+    z = step(z, pullback(grad(decode(z))))
+
+where `decode` maps z to pixels in [0, 1], `grad` is the loss's input
+gradient there, `pullback` carries that gradient back onto z, and `step`
+takes a projected step that keeps z inside the budget. `_ATTACKS` maps each
+kind to the function that sets its start, decode, pull-back and step:
+
+    linf, l2  pixels, from a random start inside the norm ball
+    jpeg      8x8 orthonormal block-DCT coefficient deltas, linf-bounded
+    gabor     sparse amplitude fields under a fixed Gabor bank, linf-bounded
+    snow      nonnegative intensities of seeded diagonal streaks (only brightens)
+
+Each returns (perturbed, aux); `aux` holds the budgeted variables so
+independent oracles can check the constraint on the variable that was
+actually projected. `generate` is the public entry point: it ascends the
+cross-entropy. TRADES' inner maximization (`training._kl_pgd`) drives the
+same table with its KL gradient through `_perturb`. Attacks are
+deterministic given (net params, batch, seed) and attack each point
+independently.
 """
 from __future__ import annotations
 
@@ -16,7 +32,7 @@ import numpy as np
 from . import errors
 from .activations import THREAT_KINDS
 from .errors import KindError, ShapeError, ValidationError
-from .nets import Batch, NetworkGraph, forward, loss_and_grad, predict
+from .nets import Batch, NetworkGraph, loss_and_grad, predict
 
 
 @dataclass(frozen=True)
@@ -63,9 +79,9 @@ class ThreatModel:
 class AdversarialBatch:
     """Original and perturbed inputs plus which predictions flipped.
 
-    `aux` exposes the attack's internal budgeted variables (coefficient
-    deltas, amplitude fields, streak intensities) so independent oracles can
-    verify the constraint on the variable that was actually projected.
+    `aux` exposes the attack's budgeted variables (coefficient deltas,
+    amplitude fields, streak intensities); it is None for the norm balls
+    and at epsilon 0.
     """
 
     originals: np.ndarray
@@ -73,65 +89,74 @@ class AdversarialBatch:
     labels: np.ndarray
     threat: ThreatModel
     success_mask: np.ndarray
-    aux: dict = None
-
-    def batch(self) -> Batch:
-        return Batch(self.perturbed, self.labels)
+    aux: dict | None = None
 
 
-def _input_grad(net, x, labels):
-    _, _, dx = loss_and_grad(
-        net, Batch(np.clip(x, 0.0, 1.0), labels),
-        need_param_grads=False, need_input_grad=True,
-    )
-    return dx
+def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
+    """Ascend the cross-entropy of `batch` under the threat's budget."""
+    x0 = batch.inputs.copy()
+    labels = batch.labels
+
+    def grad(x):
+        _, _, dx = loss_and_grad(net, Batch(x, labels), need_param_grads=False)
+        return dx
+
+    x, aux = _perturb(grad, x0, threat, seed)
+    flipped = predict(net, x) != predict(net, x0)
+    return AdversarialBatch(x0, x, labels, threat, flipped, aux)
 
 
-def _finish(net, originals, perturbed, labels, threat, aux=None) -> AdversarialBatch:
-    flipped = predict(net, perturbed) != predict(net, originals)
-    return AdversarialBatch(originals, perturbed, labels, threat, flipped, aux)
+def _perturb(grad, x0, threat: ThreatModel, seed: int):
+    """(perturbed, aux) ascending `grad` from the originals x0; x0 itself at epsilon 0."""
+    if threat.epsilon == 0.0:
+        return x0.copy(), None
+    return _ATTACKS[threat.kind](grad, x0, threat, seed)
+
+
+def _identity(v):
+    return v
+
+
+def _ascend(grad, threat, z, step, decode=_identity, pullback=_identity):
+    """The one attack loop; returns (decode(z), z) after `threat.steps` steps."""
+    for _ in range(threat.steps):
+        z = step(z, pullback(grad(decode(z))))
+    return decode(z), z
+
+
+# ---------------------------------------------------------------------------
+# linf and l2: PGD on pixels from a random start inside the ball
 
 
 def _l2_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=(1, 2, 3), keepdims=True))
 
 
-def pgd_attack(
-    net, batch: Batch, threat: ThreatModel, seed: int = 0, random_start: bool = True
-) -> AdversarialBatch:
-    """Projected gradient ascent in an linf or l2 ball, random start inside."""
-    if threat.kind not in ("linf", "l2"):
-        raise KindError(f"pgd_attack supports linf/l2, got {threat.kind!r}")
-    x0 = batch.inputs.copy()
-    labels = batch.labels
-    eps = threat.epsilon
-    if eps == 0.0:
-        return _finish(net, x0, x0.copy(), labels, threat)
-    if random_start:
-        rng = np.random.default_rng(seed)
-        if threat.kind == "linf":
-            delta = rng.uniform(-eps, eps, x0.shape)
-        else:
-            d = rng.normal(size=x0.shape)
-            r = rng.uniform(size=(x0.shape[0], 1, 1, 1)) ** (1.0 / x0[0].size)
-            delta = d * (eps * r / np.maximum(_l2_norms(d), 1e-12))
-        x = np.clip(x0 + delta, 0.0, 1.0)
-    else:
-        x = x0.copy()
-    alpha = threat.alpha
-    for _ in range(threat.steps):
-        g = _input_grad(net, x, labels)
-        if threat.kind == "linf":
-            x = x + alpha * np.sign(g)
-            x = x0 + np.clip(x - x0, -eps, eps)
-        else:
-            x = x + alpha * g / np.maximum(_l2_norms(g), 1e-12)
-            d = x - x0
-            norms = _l2_norms(d)
-            d = d * np.minimum(1.0, eps / np.maximum(norms, 1e-12))
-            x = x0 + d
-        x = np.clip(x, 0.0, 1.0)
-    return _finish(net, x0, x, labels, threat)
+def _linf(grad, x0, threat, seed):
+    eps, alpha = threat.epsilon, threat.alpha
+    start = x0 + np.random.default_rng(seed).uniform(-eps, eps, x0.shape)
+
+    def step(x, g):
+        return np.clip(x0 + np.clip(x + alpha * np.sign(g) - x0, -eps, eps), 0.0, 1.0)
+
+    x, _ = _ascend(grad, threat, np.clip(start, 0.0, 1.0), step)
+    return x, None
+
+
+def _l2(grad, x0, threat, seed):
+    eps, alpha = threat.epsilon, threat.alpha
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=x0.shape)
+    r = rng.uniform(size=(x0.shape[0], 1, 1, 1)) ** (1.0 / x0[0].size)
+    start = x0 + d * (eps * r / np.maximum(_l2_norms(d), 1e-12))
+
+    def step(x, g):
+        d = x + alpha * g / np.maximum(_l2_norms(g), 1e-12) - x0
+        d = d * np.minimum(1.0, eps / np.maximum(_l2_norms(d), 1e-12))
+        return np.clip(x0 + d, 0.0, 1.0)
+
+    x, _ = _ascend(grad, threat, np.clip(start, 0.0, 1.0), step)
+    return x, None
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +194,22 @@ def _pad_to_8(x: np.ndarray):
     return x, (h, w)
 
 
-def jpeg_attack(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
-    """linf-bounded PGD on block-DCT coefficients, decoded back to pixels."""
-    if threat.kind != "jpeg":
-        raise KindError(f"jpeg_attack got kind {threat.kind!r}")
-    x0 = batch.inputs.copy()
-    labels = batch.labels
+def _jpeg(grad, x0, threat, seed):
+    eps, alpha = threat.epsilon, threat.alpha
     xp, (h, w) = _pad_to_8(x0)
     c0 = block_dct(xp)
-    eps = threat.epsilon
-    alpha = threat.alpha
-    delta = np.zeros_like(c0)
 
     def decode(d):
-        full = block_dct(c0 + d, inverse=True)[:, :, :h, :w]
-        return np.clip(full, 0.0, 1.0)
+        return np.clip(block_dct(c0 + d, inverse=True)[:, :, :h, :w], 0.0, 1.0)
 
-    for _ in range(threat.steps if eps > 0 else 1):
-        x = decode(delta)
-        if eps == 0.0:
-            break
-        g = _input_grad(net, x, labels)
-        gp, _ = _pad_to_8(g)
-        gc = block_dct(gp)
-        delta = np.clip(delta + alpha * np.sign(gc), -eps, eps)
-    return _finish(net, x0, decode(delta), labels, threat,
-                   aux={"coeff_delta": delta})
+    def pullback(g):
+        return block_dct(_pad_to_8(g)[0])
+
+    def step(d, gc):
+        return np.clip(d + alpha * np.sign(gc), -eps, eps)
+
+    x, delta = _ascend(grad, threat, np.zeros_like(c0), step, decode, pullback)
+    return x, {"coeff_delta": delta}
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +247,6 @@ def _conv_same(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out.reshape(fields.shape[0], oh, ow)
 
 
-def gabor_attack(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
-    """Optimize sparse per-kernel amplitude fields under an linf budget."""
-    if threat.kind != "gabor":
-        raise KindError(f"gabor_attack got kind {threat.kind!r}")
-    x0 = batch.inputs.copy()
-    labels = batch.labels
-    eps = threat.epsilon
-    if eps == 0.0:
-        return _finish(net, x0, x0.copy(), labels, threat)
-    n, c, h, w = x0.shape
-    bank = gabor_bank()
-    rng = np.random.default_rng(seed)
-    masks = rng.random((n, len(bank), h, w)) < 0.06
-    amps = np.zeros((n, len(bank), h, w))
-    amps, x = _gabor_ascend(net, x0, labels, bank, masks, amps, eps,
-                            threat.alpha, threat.steps)
-    return _finish(net, x0, x, labels, threat,
-                   aux={"amplitudes": amps, "masks": masks})
-
-
 def gabor_noise(bank: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Sum of per-kernel 'same' convolutions; one shared field per channel."""
     noise = np.zeros(amps.shape[:1] + amps.shape[2:])
@@ -260,19 +255,24 @@ def gabor_noise(bank: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return noise[:, None, :, :]
 
 
-def _gabor_ascend(net, x0, labels, bank, masks, amps, eps, alpha, steps):
-    x = x0
-    for _ in range(steps):
-        x = np.clip(x0 + gabor_noise(bank, amps), 0.0, 1.0)
-        g = _input_grad(net, x, labels)
-        gsum = g.sum(axis=1)  # shared field across channels
-        da = np.stack(
-            [_conv_same(gsum, bank[k][::-1, ::-1]) for k in range(bank.shape[0])],
-            axis=1,
-        )
-        amps = np.clip(amps + alpha * np.sign(da) * masks, -eps, eps) * masks
-    x = np.clip(x0 + gabor_noise(bank, amps), 0.0, 1.0)
-    return amps, x
+def _gabor(grad, x0, threat, seed):
+    eps, alpha = threat.epsilon, threat.alpha
+    n, _, h, w = x0.shape
+    bank = gabor_bank()
+    masks = np.random.default_rng(seed).random((n, len(bank), h, w)) < 0.06
+
+    def decode(amps):
+        return np.clip(x0 + gabor_noise(bank, amps), 0.0, 1.0)
+
+    def pullback(g):
+        gsum = g.sum(axis=1)  # one field shared across channels
+        return np.stack([_conv_same(gsum, k[::-1, ::-1]) for k in bank], axis=1)
+
+    def step(amps, da):
+        return np.clip(amps + alpha * np.sign(da) * masks, -eps, eps) * masks
+
+    x, amps = _ascend(grad, threat, np.zeros(masks.shape), step, decode, pullback)
+    return x, {"amplitudes": amps, "masks": masks}
 
 
 # ---------------------------------------------------------------------------
@@ -301,48 +301,28 @@ def snow_masks(
     return masks
 
 
-def snow_attack(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
-    """Ascend nonnegative streak intensities bounded by epsilon (only brightens)."""
-    if threat.kind != "snow":
-        raise KindError(f"snow_attack got kind {threat.kind!r}")
-    x0 = batch.inputs.copy()
-    labels = batch.labels
-    eps = threat.epsilon
-    if eps == 0.0:
-        return _finish(net, x0, x0.copy(), labels, threat)
-    n, c, h, w = x0.shape
+def _snow(grad, x0, threat, seed):
+    eps, alpha = threat.epsilon, threat.alpha
+    n, _, h, w = x0.shape
     masks = snow_masks(n, h, w, seed)
-    intensities = np.zeros((n, masks.shape[1]))
 
-    def compose(t):
-        noise = np.einsum("ns,nshw->nhw", t, masks)[:, None, :, :]
-        return np.clip(x0 + noise, 0.0, 1.0)
+    def decode(t):
+        return np.clip(x0 + np.einsum("ns,nshw->nhw", t, masks)[:, None, :, :], 0.0, 1.0)
 
-    alpha = threat.alpha
-    for _ in range(threat.steps):
-        x = compose(intensities)
-        g = _input_grad(net, x, labels)
-        dt = np.einsum("nhw,nshw->ns", g.sum(axis=1), masks)
-        intensities = np.clip(intensities + alpha * np.sign(dt), 0.0, eps)
-    return _finish(net, x0, compose(intensities), labels, threat,
-                   aux={"intensities": intensities, "masks": masks})
+    def pullback(g):
+        return np.einsum("nhw,nshw->ns", g.sum(axis=1), masks)
+
+    def step(t, dt):
+        return np.clip(t + alpha * np.sign(dt), 0.0, eps)
+
+    x, t = _ascend(grad, threat, np.zeros(masks.shape[:2]), step, decode, pullback)
+    return x, {"intensities": t, "masks": masks}
 
 
 # ---------------------------------------------------------------------------
 
 
-_ATTACKS = {
-    "linf": pgd_attack,
-    "l2": pgd_attack,
-    "jpeg": jpeg_attack,
-    "gabor": gabor_attack,
-    "snow": snow_attack,
-}
-
-
-def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
-    """Dispatch to the attack implementing the threat's kind."""
-    return _ATTACKS[threat.kind](net, batch, threat, seed=seed)
+_ATTACKS = {"linf": _linf, "l2": _l2, "jpeg": _jpeg, "gabor": _gabor, "snow": _snow}
 
 
 def evaluate_accuracy(

@@ -22,9 +22,10 @@ from . import errors, nets
 from .activations import Condition, record_activations, write_dump
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .nets import Batch, NetworkGraph
-from .threats import ThreatModel, generate
+from .threats import ThreatModel, _perturb, generate
 
 METHODS = ("standard", "advpgd", "trades")
+TRADES_KINDS = ("linf", "l2")
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,11 @@ class TrainingConfig:
             raise ConfigError(f"{self.method} requires a threat")
         if self.method == "trades" and self.beta <= 0:
             raise ConfigError("trades requires beta > 0")
+        if self.method == "trades" and self.threat.kind not in TRADES_KINDS:
+            # the other kinds start at the originals, where the KL gradient is 0
+            raise ConfigError(
+                f"trades supports threat kinds {TRADES_KINDS}, got {self.threat.kind!r}"
+            )
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.momentum < 1:
@@ -134,6 +140,7 @@ class EpochTrace:
 
     @classmethod
     def load_csv(cls, path) -> "EpochTrace":
+        """Read a trace written by `save_csv`; malformed content raises FormatError."""
         run_dir = os.path.dirname(str(path)) or "."
 
         def resolve(p):
@@ -141,20 +148,28 @@ class EpochTrace:
                 return None
             return p if os.path.isabs(p) else os.path.join(run_dir, p)
 
+        def optional(v):
+            return float(v) if v else None
+
         trace = cls(run_dir=run_dir)
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                trace.entries.append(EpochEntry(
-                    epoch=int(row["epoch"]),
-                    train_loss=float(row["train_loss"]),
-                    val_loss=float(row["val_loss"]),
-                    val_loss_adv=float(row["val_loss_adv"]) if row["val_loss_adv"] else None,
-                    benign_acc=float(row["benign_acc"]),
-                    robust_acc=float(row["robust_acc"]) if row["robust_acc"] else None,
-                    checkpoint_path=resolve(row["checkpoint"]),
-                    probe_benign_path=resolve(row["probe_benign"]),
-                    probe_adv_path=resolve(row["probe_adv"]),
-                ))
+            try:
+                for row in csv.DictReader(fh):
+                    trace.entries.append(EpochEntry(
+                        epoch=int(row["epoch"]),
+                        train_loss=float(row["train_loss"]),
+                        val_loss=float(row["val_loss"]),
+                        val_loss_adv=optional(row["val_loss_adv"]),
+                        benign_acc=float(row["benign_acc"]),
+                        robust_acc=optional(row["robust_acc"]),
+                        checkpoint_path=resolve(row["checkpoint"]),
+                        probe_benign_path=resolve(row["probe_benign"]),
+                        probe_adv_path=resolve(row["probe_adv"]),
+                    ))
+            except (KeyError, TypeError, ValueError, csv.Error) as exc:
+                raise FormatError(f"{path}: not a valid trace: {exc!r}") from exc
+        if not trace.entries:
+            raise FormatError(f"{path}: trace has no epochs")
         return trace
 
 
@@ -301,23 +316,16 @@ def _sgd_step(params, grads, velocity, lr, momentum):
 
 
 def _kl_pgd(net, batch: Batch, threat: ThreatModel, seed: int) -> np.ndarray:
-    """Inner maximization of KL(p(x) || p(x')) within the threat ball."""
+    """Inner maximization of KL(p(x) || p(x')) within the threat's budget."""
     x0 = batch.inputs
-    eps = threat.epsilon
-    if eps == 0.0:
-        return x0.copy()
-    logits0, _ = nets.forward(net, x0)
-    p0 = nets.softmax(logits0)
-    rng = np.random.default_rng(seed)
-    x = np.clip(x0 + rng.uniform(-eps, eps, x0.shape), 0.0, 1.0)
-    n = x0.shape[0]
-    for _ in range(threat.steps):
+    p0 = nets.softmax(nets.forward(net, x0)[0])
+
+    def kl_grad(x):
         logits, state = nets.forward_cache(net, x, need_param_grads=False)
-        dlogits = (nets.softmax(logits) - p0) / n
-        _, dx = nets.backward(net, state, dlogits, need_param_grads=False)
-        x = x + threat.alpha * np.sign(dx)
-        x = np.clip(x0 + np.clip(x - x0, -eps, eps), 0.0, 1.0)
-    return x
+        dlogits = (nets.softmax(logits) - p0) / len(x0)
+        return nets.backward(net, state, dlogits, need_param_grads=False)[1]
+
+    return _perturb(kl_grad, x0, threat, seed)[0]
 
 
 def trades_loss_and_grad(net, batch: Batch, threat: ThreatModel, beta: float, seed: int):
@@ -504,9 +512,16 @@ def train(
 
 
 def load_run(run_dir: str):
-    """(config dict, EpochTrace) for a completed run directory."""
-    with open(os.path.join(run_dir, "config.json")) as fh:
-        config = json.load(fh)
+    """(config dict, EpochTrace) for a completed run directory.
+
+    A missing file raises OSError; malformed content raises FormatError.
+    """
+    path = os.path.join(run_dir, "config.json")
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     trace = EpochTrace.load_csv(os.path.join(run_dir, "trace.csv"))
     trace.run_dir = run_dir
     return config, trace

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -97,6 +98,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("train", {}, {"probe_size": 0}),
     ("train", {}, {"lr_decay": 1}),
     ("train", {}, {"method": "advpgd", "threat": {"kind": "nope", "epsilon": 0.1}}),
+    ("train", {}, {"method": "trades", "threat": {"kind": "snow", "epsilon": 0.1}}),
     ("gen-data", {}, {"classes": "4"}),
     ("gen-data", {}, {"noise_std": "x"}),
     ("gen-data", {}, {"jitter": 1.5}),
@@ -107,6 +109,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
+    "trades-snow",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-threat-kind",
 ])
@@ -148,6 +151,22 @@ def test_bad_argv_exits_2(pipeline, tmp_path, capsys, command, extra):
     }[command]
     assert run_cli(command, *argv, *extra, "--out", out) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--condition", "adversarial"], ["--threat", "linf"], ["--eps", "0.1"],
+], ids=["condition", "threat", "eps"])
+def test_record_rejects_adversarial_flags(pipeline, tmp_path, flags):
+    # `record` dumps clean inputs only; `attack` records adversarial ones
+    _, data_path, _, run_dir = pipeline
+    out = str(tmp_path / "o.rsam")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
+            "--data", data_path, *flags, "--out", out,
+        )
+    assert exc.value.code == 2
     assert not os.path.exists(out)
 
 
@@ -251,6 +270,25 @@ def test_experiment_bad_metric_exits_2(tmp_path, capsys, metric):
     )
     assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "exp")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("trace.csv", lambda text: text.splitlines(keepends=True)[0]),
+    ("trace.csv", lambda text: text.replace("\n2,", "\nabc,")),
+    ("config.json", lambda text: text[: len(text) // 2]),
+], ids=["header-only-trace", "non-numeric-trace", "bad-config-json"])
+def test_experiment_on_corrupt_run_exits_5(pipeline, tmp_path, capsys, name, corrupt):
+    _, _, _, run_dir = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / name).write_text(corrupt((run / name).read_text()))
+    spec = write_json(
+        tmp_path / "exp.json",
+        {"schema_version": 1, "experiment": {"kind": "crosslayer", "runs": [str(run)]}},
+    )
+    assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "exp")) == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and name in err["message"]
 
 
 def test_validation_failure_exit_code(pipeline, tmp_path, capsys):

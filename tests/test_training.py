@@ -190,6 +190,16 @@ def test_trades_runs_and_records_adv_metrics(small_data):
     assert all(np.isfinite(e.train_loss) for e in trace.entries)
 
 
+def test_trades_l2_inner_max_stays_in_ball(small_data):
+    net = nets.make_network("mlp-3", (1, 8, 8), classes=2, seed=5)
+    batch = nets.Batch(small_data.train.inputs[:32], small_data.train.labels[:32])
+    x_adv = training._kl_pgd(net, batch, threats.ThreatModel("l2", 1.0, steps=5), seed=1)
+    d = (x_adv - batch.inputs).reshape(batch.n, -1)
+    norms = np.sqrt((d * d).sum(axis=1))
+    assert norms.max() <= 1.0 + 1e-9
+    assert norms.min() > 0.0
+
+
 def test_trades_gradient_matches_finite_difference(small_data):
     threat = threats.ThreatModel("linf", 0.05, steps=2)
     net = nets.make_network("mlp-3", (1, 8, 8), classes=2, seed=5)
@@ -247,6 +257,11 @@ def test_config_validation():
         training.TrainingConfig(
             method="trades", threat=threats.ThreatModel("linf", 0.1), beta=0.0
         )
+    # only the norm balls start off the originals, where the KL gradient is 0
+    for kind in ("jpeg", "gabor", "snow"):
+        with pytest.raises(ConfigError):
+            training.TrainingConfig(method="trades", threat=threats.ThreatModel(kind, 0.1))
+    training.TrainingConfig(method="trades", threat=threats.ThreatModel("l2", 0.5))
     cfg = training.TrainingConfig(
         method="advpgd", threat=threats.ThreatModel("linf", 0.1, steps=10)
     )
