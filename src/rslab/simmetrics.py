@@ -50,7 +50,6 @@ from .errors import (
     ConfigError,
     EmptySelectionError,
     FormatError,
-    InvalidGramError,
     ManifestError,
     NumericalError,
     ShapeError,
@@ -67,16 +66,6 @@ from .numerics import (
 )
 
 
-def _pair(x, y, min_rows: int = 2):
-    x = center_columns(as_matrix(x, "x"))
-    y = center_columns(as_matrix(y, "y"))
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < min_rows:
-        raise ShapeError(f"need at least {min_rows} rows, got {x.shape[0]}")
-    return x, y
-
-
 def linear_cka(x, y, with_flag: bool = False):
     """Linear CKA: |Y^T X|_F^2 / (|X^T X|_F |Y^T Y|_F) on centered matrices.
 
@@ -84,34 +73,6 @@ def linear_cka(x, y, with_flag: bool = False):
     input was degenerate (zero after centering), in which case the value is 0.
     """
     return MetricKind.linear_cka().evaluate(x, y, with_flag)
-
-
-def _center_gram(k: np.ndarray) -> np.ndarray:
-    row = k.mean(axis=0, keepdims=True)
-    col = k.mean(axis=1, keepdims=True)
-    return k - row - col + k.mean()
-
-
-def cka_from_grams(k, l, with_flag: bool = False):
-    """CKA from precomputed Gram matrices: tr(KHLH)/sqrt(tr(KHKH) tr(LHLH))."""
-    k = as_matrix(k, "k")
-    l = as_matrix(l, "l")
-    for name, g in (("k", k), ("l", l)):
-        if g.shape[0] != g.shape[1]:
-            raise ShapeError(f"{name} must be square, got {g.shape}")
-        if np.abs(g - g.T).max() > 1e-9:
-            raise InvalidGramError(f"{name} is not symmetric within 1e-9")
-    if k.shape[0] != l.shape[0]:
-        raise ShapeError(f"gram sizes differ: {k.shape[0]} vs {l.shape[0]}")
-    kc = _center_gram(k)
-    lc = _center_gram(l)
-    num = float((kc * lc).sum())
-    dk = float(np.sqrt((kc * kc).sum()))
-    dl = float(np.sqrt((lc * lc).sum()))
-    if dk == 0.0 or dl == 0.0:
-        return (0.0, True) if with_flag else 0.0
-    val = min(max(num / (dk * dl), 0.0), 1.0)
-    return (val, False) if with_flag else val
 
 
 def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
@@ -175,17 +136,6 @@ def _hsic_swap(x, y, self_x: float, self_y: float) -> bool:
     return (y.shape[1], self_y) < (x.shape[1], self_x)
 
 
-def unbiased_cka(x, y) -> float:
-    """Full-data CKA built from unbiased HSIC terms (single-batch reference)."""
-    x, y = _pair(x, y, min_rows=4)
-    da = _hsic_unbiased(x, x)
-    db = _hsic_unbiased(y, y)
-    num = _hsic_unbiased(*((y, x) if _hsic_swap(x, y, da, db) else (x, y)))
-    if da <= 0.0 or db <= 0.0:
-        return 0.0
-    return num / float(np.sqrt(da * db))
-
-
 def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
     """Streaming CKA over shuffled minibatches.
 
@@ -193,6 +143,7 @@ def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
     both denominator terms; the three sums are accumulated across all batches
     and passes and combined once at the end. Deterministic for a fixed seed.
     A trailing batch smaller than 4 points is folded into its predecessor.
+    One pass with batch >= n is the full-data CKA of unbiased HSIC terms.
     """
     return MetricKind.online_cka(batch, passes, seed).evaluate(x, y)
 
@@ -204,7 +155,10 @@ def class_cka_decomposition(x, y, labels):
     Components are raw signed sums over the centered Grams; either may be
     negative, and normalization is left to the caller.
     """
-    x, y = _pair(x, y)
+    x = _centered(as_matrix(x, "x"))
+    y = _centered(as_matrix(y, "y"))
+    if x.shape[0] != y.shape[0]:
+        raise ShapeError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
     labels = np.asarray(labels)
     if labels.ndim != 1 or len(labels) != x.shape[0]:
         raise AlignmentError(
@@ -580,9 +534,7 @@ class SimilarityMatrix:
                 None if self.degenerate is None else np.argwhere(self.degenerate).tolist()
             ),
         }
-        with open(base_path + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        errors.write_json(base_path + ".json", sidecar)
 
     @classmethod
     def load(cls, base_path: str) -> "SimilarityMatrix":

@@ -216,16 +216,15 @@ def _jpeg(grad, x0, threat, seed):
 # gabor: sparse amplitude field convolved with a fixed kernel bank
 
 
-def gabor_bank(orientations: int = 4, scales=(1.0, 2.0), size: int = 7) -> np.ndarray:
-    """Fixed Gabor kernels (orientations x scales), each peak-normalized."""
-    half = size // 2
-    yy, xx = np.mgrid[-half : half + 1, -half : half + 1].astype(np.float64)
+def gabor_bank() -> np.ndarray:
+    """Fixed 7 x 7 Gabor kernels, 4 orientations x 2 scales, each peak-normalized."""
+    yy, xx = np.mgrid[-3:4, -3:4].astype(np.float64)
     kernels = []
-    for s in scales:
+    for s in (1.0, 2.0):
         sigma = 1.2 * s
         lam = 2.5 * s
-        for o in range(orientations):
-            th = np.pi * o / orientations
+        for o in range(4):
+            th = np.pi * o / 4
             xr = xx * np.cos(th) + yy * np.sin(th)
             yr = -xx * np.sin(th) + yy * np.cos(th)
             g = np.exp(-(xr**2 + 0.64 * yr**2) / (2 * sigma**2)) * np.cos(
@@ -330,12 +329,12 @@ def evaluate_accuracy(
     data: Batch,
     threat: ThreatModel | None = None,
     seed: int = 0,
-    chunk: int = 128,
 ):
     """(benign accuracy, robust accuracy) over a labeled batch.
 
-    Robust accuracy is None when no threat is given; it is reported as-is
-    and not forced below the benign value.
+    The attack runs on 128-point chunks, the chunk at offset s with seed
+    seed + s. Robust accuracy is None when no threat is given; it is
+    reported as-is and not forced below the benign value.
     """
     if data.n == 0:
         raise ValidationError("dataset must be nonempty")
@@ -343,8 +342,8 @@ def evaluate_accuracy(
     if threat is None:
         return benign, None
     correct = 0
-    for s in range(0, data.n, chunk):
-        sub = Batch(data.inputs[s : s + chunk], data.labels[s : s + chunk])
+    for s in range(0, data.n, 128):
+        sub = Batch(data.inputs[s : s + 128], data.labels[s : s + 128])
         adv = generate(net, sub, threat, seed=seed + s)
         correct += int((predict(net, adv.perturbed) == sub.labels).sum())
     return benign, correct / data.n

@@ -445,12 +445,10 @@ def train(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w") as fh:
-            json.dump(
-                {"schema_version": 1, "model_id": model_id, "training": config.to_json()},
-                fh, sort_keys=True, indent=1,
-            )
-            fh.write("\n")
+        errors.write_json(
+            os.path.join(out_dir, "config.json"),
+            {"schema_version": 1, "model_id": model_id, "training": config.to_json()},
+        )
     n_train = data.train.n
     lr = config.learning_rate
     for epoch in range(1, config.epochs + 1):

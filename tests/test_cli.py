@@ -135,38 +135,56 @@ def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     ("compare", ["--seed", "-1", "--metric", "online_cka", "--batch", "8"]),
     ("attack", ["--limit", "-5"]),
     ("record", ["--limit", "-5"]),
+    ("record", ["--bogus"]),
+    ("train", []),
+    ("compare", ["--metric", "nope"]),
+    ("gen-data", ["--seed", "x"]),
+    ("attack", ["--threat", "nope"]),
+    ("nope", []),
+    (None, []),
 ], ids=["gen-data-seed", "attack-seed", "record-seed", "compare-seed", "attack-limit",
-        "record-limit"])
+        "record-limit", "unknown-flag", "missing-required", "bad-metric-choice",
+        "non-integer-seed", "bad-threat-choice", "unknown-command", "no-command"])
 def test_bad_argv_exits_2(pipeline, tmp_path, capsys, command, extra):
     _, data_path, _, run_dir = pipeline
     model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
     dump = os.path.join(run_dir, "probes", "epoch_002_benign.rsam")
     out = str(tmp_path / "o")
     argv = {
-        "gen-data": [],
         "attack": ["--model", model, "--data", data_path, "--threat", "linf",
                    "--eps", "0.1", "--steps", "1", "--limit", "32"],
         "record": ["--model", model, "--data", data_path, "--limit", "32"],
         "compare": ["--a", dump, "--b", dump],
-    }[command]
-    assert run_cli(command, *argv, *extra, "--out", out) == 2
+    }.get(command, [])
+    if command is None:
+        assert run_cli() == 2
+    else:
+        assert run_cli(command, *argv, *extra, "--out", out) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not os.path.exists(out)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["attack", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rslab")
 
 
 @pytest.mark.parametrize("flags", [
     ["--condition", "adversarial"], ["--threat", "linf"], ["--eps", "0.1"],
 ], ids=["condition", "threat", "eps"])
-def test_record_rejects_adversarial_flags(pipeline, tmp_path, flags):
+def test_record_rejects_adversarial_flags(pipeline, tmp_path, capsys, flags):
     # `record` dumps clean inputs only; `attack` records adversarial ones
     _, data_path, _, run_dir = pipeline
     out = str(tmp_path / "o.rsam")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(
-            "record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
-            "--data", data_path, *flags, "--out", out,
-        )
-    assert exc.value.code == 2
+    code = run_cli(
+        "record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
+        "--data", data_path, *flags, "--out", out,
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not os.path.exists(out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -247,6 +248,35 @@ def test_init_deterministic_per_seed():
     assert any(
         not np.array_equal(pa[k], pc[k]) for pa, pc in zip(a, c) for k in pa
     )
+
+
+def _params_digest(params) -> str:
+    h = hashlib.sha256()
+    for i, p in enumerate(params):
+        for key in sorted(p):
+            h.update(f"{i}.{key}{p[key].shape}".encode())
+            h.update(np.ascontiguousarray(p[key], dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of make_network's parameters: a change to the order, shape
+# or scale of init_params' draws moves them
+INIT_DIGESTS = {
+    ("mlp-3", 1, 0): "7c965cdbb4688c2f",
+    ("mlp-3", 1, 7): "7c0cb02bb958f306",
+    ("mlp-3", 2, 0): "797cc7838fedcd92",
+    ("mlp-3", 2, 7): "d1e9786bc16df6f2",
+    ("miniresnet", 1, 0): "0b4f355ec231c117",
+    ("miniresnet", 1, 7): "dd204da288c38740",
+    ("miniresnet", 2, 0): "47e04abf814e2297",
+    ("miniresnet", 2, 7): "3e98a4f9c43775f8",
+}
+
+
+@pytest.mark.parametrize("arch, width, seed", sorted(INIT_DIGESTS))
+def test_init_params_bytes_pinned(arch, width, seed):
+    net = nets.make_network(arch, (1, 8, 8), classes=3, width_factor=width, seed=seed)
+    assert _params_digest(net.params) == INIT_DIGESTS[arch, width, seed]
 
 
 def test_init_fan_in_scaling():

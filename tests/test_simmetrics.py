@@ -10,12 +10,10 @@ from rslab.errors import (
     ConfigError,
     EmptySelectionError,
     FormatError,
-    InvalidGramError,
     ManifestError,
     ShapeError,
     ValidationError,
 )
-from rslab.numerics import gram_linear
 
 import oracles
 
@@ -65,6 +63,15 @@ def test_cka_matches_direct_oracle_random():
         )
 
 
+def test_cka_wide_gram_route_matches_trace_oracle():
+    # both layers wider than n: the numerator is sum(K * L) of the n x n Grams
+    rng = np.random.default_rng(7)
+    for n, px, py in ((8, 30, 20), (6, 9, 40), (12, 13, 13)):
+        x = rng.normal(size=(n, px))
+        y = rng.normal(size=(n, py))
+        assert abs(sm.linear_cka(x, y) - oracles.cka_trace_form(x @ x.T, y @ y.T)) <= 1e-12
+
+
 def test_cka_degenerate_flag():
     rng = np.random.default_rng(3)
     # zero after centering: a tall and a wide constant input
@@ -88,54 +95,29 @@ def test_cka_translation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# gram-space CKA
-
-
-def test_gram_cka_self_and_scale():
-    rng = np.random.default_rng(5)
-    k = gram_linear(rng.normal(size=(7, 3)))
-    assert sm.cka_from_grams(k, k) == pytest.approx(1.0, abs=1e-12)
-    assert sm.cka_from_grams(k, 4.2 * k) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gram_cka_equals_feature_cka():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        x = rng.normal(size=(6, 3))
-        y = rng.normal(size=(6, 3))
-        v1 = sm.cka_from_grams(gram_linear(x), gram_linear(y))
-        v2 = sm.linear_cka(x, y)
-        assert abs(v1 - v2) <= 1e-10
-
-
-def test_gram_cka_matches_trace_oracle():
-    rng = np.random.default_rng(7)
-    k = gram_linear(rng.normal(size=(8, 4)))
-    l = gram_linear(rng.normal(size=(8, 2)))
-    assert sm.cka_from_grams(k, l) == pytest.approx(
-        oracles.cka_trace_form(k, l), abs=1e-12
-    )
-
-
-def test_gram_cka_rejects_asymmetry():
-    k = np.eye(4)
-    bad = k.copy()
-    bad[0, 1] = 1e-6
-    with pytest.raises(InvalidGramError):
-        sm.cka_from_grams(bad, k)
-
-
-# ---------------------------------------------------------------------------
 # online CKA
+
+
+def _full_data_cka_loops(x, y):
+    """Full-data CKA of unbiased HSIC terms, each from the double loop."""
+    x, y = x - x.mean(axis=0), y - y.mean(axis=0)
+    num = oracles.hsic_unbiased_loops(x, y)
+    return num / np.sqrt(oracles.hsic_unbiased_loops(x, x) * oracles.hsic_unbiased_loops(y, y))
 
 
 def test_online_single_batch_equals_unbiased():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(32, 6))
-    y = rng.normal(size=(32, 5))
-    assert sm.online_cka(x, y, batch=32, passes=1, seed=0) == pytest.approx(
-        sm.unbiased_cka(x, y), abs=0
-    )
+    # (32, 6, 5) scores each batch from the features; (8, 30, 24) has
+    # 2 px py > n (px + py), so it forms the n x n Grams
+    for n, px, py in ((32, 6, 5), (8, 30, 24)):
+        x, y = _latent_batches(rng, n, px, py)
+        x = x + rng.normal(size=(1, px))  # not centered
+        for a, b in ((x, y), (x, x)):
+            one = sm.online_cka(a, b, batch=n, passes=1, seed=0)
+            # one batch holding every point is unshuffled, so a larger
+            # batch gives the same bits
+            assert one == sm.online_cka(a, b, batch=n + 5, passes=1, seed=3)
+            assert abs(one - _full_data_cka_loops(a, b)) <= 1e-12
 
 
 def test_online_identical_streams():
@@ -152,7 +134,7 @@ def test_online_converges_to_full_batch():
     z = rng.normal(size=(n, 16))
     x = z @ rng.normal(size=(16, 64)) + 0.6 * rng.normal(size=(n, 64))
     y = z @ rng.normal(size=(16, 48)) + 0.6 * rng.normal(size=(n, 48))
-    full = sm.unbiased_cka(x, y)
+    full = sm.online_cka(x, y, batch=n, passes=1)
     o = sm.online_cka(x, y, batch=64, passes=3, seed=0)
     assert abs(o - full) <= 0.01
 
