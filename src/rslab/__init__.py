@@ -33,6 +33,7 @@ from .nets import (
     ResidualAdd,
     forward,
     init_params,
+    input_grad,
     load_checkpoint,
     loss_and_grad,
     make_network,

@@ -234,7 +234,7 @@ def record_activations(
     dataset: str = "",
     seed: int = 0,
 ) -> ActivationSet:
-    """Run the probe batch through `net` and collect one record per tap point.
+    """Run the probe `nets.Batch` through `net` and collect one record per tap point.
 
     Spatial activations (c, h, w) flatten channel-major into the columns.
     The tapped matrices are rounded through float32, matching what a dump
@@ -243,8 +243,7 @@ def record_activations(
     """
     from . import nets  # deferred: avoid import cycle
 
-    inputs, labels = nets.batch_arrays(probe)
-    _, tapped = nets.forward(net, inputs, taps=net.taps)
+    _, tapped = nets.forward(net, probe.inputs, taps=net.taps)
     names = nets.layer_names(net)
     records = []
     for idx in net.taps:
@@ -256,9 +255,9 @@ def record_activations(
         "model_id": model_id,
         "dataset": dataset,
         "seed": seed,
-        "n": int(inputs.shape[0]),
+        "n": probe.n,
         "condition": condition.to_json(),
         "epoch": epoch,
-        "probe_digest": probe_digest(inputs, labels),
+        "probe_digest": probe_digest(probe.inputs, probe.labels),
     }
-    return ActivationSet(records, labels, manifest)
+    return ActivationSet(records, probe.labels, manifest)

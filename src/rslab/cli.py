@@ -79,12 +79,7 @@ class _ExperimentDoc:
 
 
 def _load_doc(path, cls):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    doc = errors.from_json(cls, doc, path)
+    doc = errors.from_json(cls, errors.read_json(path, ConfigError), path)
     if doc.schema_version != SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: schema_version must be {SCHEMA_VERSION}, got {doc.schema_version}"

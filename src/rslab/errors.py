@@ -127,3 +127,16 @@ def write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def read_json(path, error_cls):
+    """Parse a JSON file; content that is not JSON raises `error_cls`.
+
+    Bytes that are not UTF-8 and nesting too deep to parse count as not
+    JSON. A missing or unreadable file stays an OSError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
+            raise error_cls(f"{path}: invalid JSON: {exc}") from exc

@@ -6,13 +6,14 @@ are all straightforward array code. Convolutions run through im2col and a
 single GEMM in float64; their input gradients use the dilated-correlation
 form so no scatter-adds are needed.
 
-Passes that take no parameter gradients (`forward`, `predict` and
-`loss_and_grad(..., need_param_grads=False)`, which every cross-entropy
-attack step calls) run the batch through the whole net one block of images
-at a time, sized so a block's layer outputs fit in `_BLOCK_BYTES`. TRADES'
-KL ascent steps call `forward_cache` and `backward` directly, on one
-training batch at a time. The im2col windows (`cols`) are kept only for
-weight gradients, which the training step takes over its whole batch.
+There is one entry point per need. `loss_and_grad` takes a training step's
+cross-entropy and parameter gradients in one pass over the whole batch; it
+alone keeps the im2col windows (`cols`) that weight gradients need.
+`forward` (and `predict`) and `input_grad` take no parameter gradients and
+run the batch through the net one block of images at a time, sized so a
+block's layer outputs fit in `_BLOCK_BYTES`. `input_grad` is the gradient of
+every attack step and of TRADES' KL ascent: the caller's `dlogits_of`
+returns each block's logits cotangent, already scaled by the whole batch.
 Every layer computes an image's outputs from that image's rows alone, so a
 block gives the bytes one pass over the whole batch gives, as long as BLAS
 sums each row of a product in the same order whatever the row count.
@@ -226,14 +227,6 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def batch_arrays(batch):
-    """Accept a Batch or a raw (inputs) array; return (inputs, labels)."""
-    if isinstance(batch, Batch):
-        return batch.inputs, batch.labels
-    inputs = np.asarray(batch, dtype=np.float64)
-    return inputs, np.zeros(inputs.shape[0], dtype=np.int64)
-
-
 def layer_names(net: NetworkGraph) -> list:
     kinds = {
         Dense: "dense", Conv2d: "conv", Relu: "relu",
@@ -321,22 +314,21 @@ def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray, keep_cols: bool):
     return out, (cols if keep_cols else None, x.shape)
 
 
-def _conv_backward(spec: Conv2d, p: dict, cache, g: np.ndarray, need_param: bool):
-    cols, x_shape = cache
+def _conv_param_grads(spec: Conv2d, cols, g: np.ndarray) -> dict:
+    if cols is None:
+        raise ValidationError(
+            "parameter gradients need a state from forward_cache(..., need_param_grads=True)"
+        )
+    k, co = spec.kernel, spec.out_channels
+    gm = g.reshape(-1, co)
+    dw = (cols.T @ gm).reshape(k, k, spec.in_channels, co).transpose(3, 2, 0, 1)
+    return {"w": dw, "b": gm.sum(axis=0)}
+
+
+def _conv_input_grad(spec: Conv2d, p: dict, x_shape, g: np.ndarray) -> np.ndarray:
+    """Correlation of the (dilated) cotangent with the spatially flipped kernels."""
     n, h, w, ci = x_shape
     k, s, pad = spec.kernel, spec.stride, spec.pad
-    co = spec.out_channels
-    gm = g.reshape(-1, co)
-    grads = None
-    if need_param:
-        if cols is None:
-            raise ValidationError(
-                "parameter gradients need a state from forward_cache(..., need_param_grads=True)"
-            )
-        dw = (cols.T @ gm).reshape(k, k, ci, co).transpose(3, 2, 0, 1)
-        grads = {"w": dw, "b": gm.sum(axis=0)}
-    # input gradient as a correlation of the (dilated) cotangent with the
-    # spatially flipped kernels
     gd = _dilate(g, s)
     pb = k - 1 - pad
     if pb > 0:
@@ -344,9 +336,8 @@ def _conv_backward(spec: Conv2d, p: dict, cache, g: np.ndarray, need_param: bool
     elif pb < 0:
         gd = gd[:, -pb:pb, -pb:pb, :]
     cols_b, bh, bw = _im2col(gd, k, 1, 0)
-    wb = p["w"][:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
-    dx = (cols_b @ wb).reshape(n, bh, bw, ci)
-    return dx, grads
+    wb = p["w"][:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * spec.out_channels, ci)
+    return (cols_b @ wb).reshape(n, bh, bw, ci)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +402,12 @@ def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool, keep_cols: 
     return outs, caches
 
 
-def forward(net: NetworkGraph, batch, taps=None):
+def forward(net: NetworkGraph, inputs: np.ndarray, taps=None):
     """Run the net; returns (logits, {layer_index: flattened activation}).
 
     Deterministic and side-effect free for fixed parameters. A spatial final
     output comes back in (n, c, h, w) layout. Runs in blocks of images.
     """
-    inputs, _ = batch_arrays(batch)
     x = np.asarray(inputs, dtype=np.float64)
     n = x.shape[0]
     final = np.empty((n,) + net.output_shapes[-1])
@@ -442,49 +432,36 @@ def forward_cache(net: NetworkGraph, inputs: np.ndarray, need_param_grads: bool 
     return outs[-1], (outs, caches)
 
 
-def backward(
-    net: NetworkGraph,
-    fw_state,
-    dlogits: np.ndarray,
-    need_param_grads: bool = True,
-    need_input_grad: bool = True,
-):
+def backward(net: NetworkGraph, fw_state, dlogits: np.ndarray, need_param_grads: bool = True):
     """Reverse-mode gradients from a logits cotangent.
 
-    Returns (param_grads, input_grad); either half may be None when not
-    requested. Residual connections accumulate into their source layer.
+    Returns the per-layer parameter gradients when `need_param_grads` is set,
+    else the input gradient. Residual connections accumulate into their
+    source layer.
     """
-    outs, caches = fw_state
+    _, caches = fw_state
     n_layers = len(net.layers)
-    gout = [None] * n_layers
-    gout[n_layers - 1] = dlogits
-    param_grads = [None] * n_layers if need_param_grads else None
-    dx_input = None
+    gout = {n_layers - 1: dlogits}  # index -1 collects the input gradient
+    param_grads = [{} for _ in net.layers]
 
     def send(idx, g):
-        if idx < 0:
-            nonlocal dx_input
-            if need_input_grad:
-                dx_input = g if dx_input is None else dx_input + g
-            return
-        gout[idx] = g if gout[idx] is None else gout[idx] + g
+        gout[idx] = gout[idx] + g if idx in gout else g
 
     for i in range(n_layers - 1, -1, -1):
-        g = gout[i]
-        if g is None:
-            continue
+        g = gout.pop(i)
         spec = net.layers[i]
         p = net.params[i]
         cache = caches[i]
+        if need_param_grads and isinstance(spec, Dense):
+            param_grads[i] = {"w": cache.T @ g, "b": g.sum(axis=0)}
+        elif need_param_grads and isinstance(spec, Conv2d):
+            param_grads[i] = _conv_param_grads(spec, cache[0], g)
+        if i == 0 and need_param_grads:
+            break  # nothing asks for the input gradient
         if isinstance(spec, Dense):
-            if need_param_grads:
-                param_grads[i] = {"w": cache.T @ g, "b": g.sum(axis=0)}
             send(i - 1, g @ p["w"].T)
         elif isinstance(spec, Conv2d):
-            dx, grads = _conv_backward(spec, p, cache, g, need_param_grads)
-            if need_param_grads:
-                param_grads[i] = grads
-            send(i - 1, dx)
+            send(i - 1, _conv_input_grad(spec, p, cache[1], g))
         elif isinstance(spec, Relu):
             send(i - 1, g * cache)
         elif isinstance(spec, AvgPool):
@@ -500,11 +477,10 @@ def backward(
         elif isinstance(spec, ResidualAdd):
             send(i - 1, g)
             send(spec.source, g)
-        if need_param_grads and param_grads[i] is None:
-            param_grads[i] = {}
-    if dx_input is not None and dx_input.ndim == 4:
-        dx_input = _to_nchw(dx_input)
-    return param_grads, dx_input
+    if need_param_grads:
+        return param_grads
+    dx = gout[-1]
+    return _to_nchw(dx) if dx.ndim == 4 else dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -520,6 +496,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _label_logp_and_grad(logits: np.ndarray, labels: np.ndarray):
     """Per row: log-probability of the label and the unscaled logits gradient."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < logits.shape[1]:
+        raise ValidationError(f"labels must lie in [0, {logits.shape[1]})")
     rows = np.arange(logits.shape[0])
     logp = log_softmax(logits)
     dlogits = np.exp(logp)
@@ -533,35 +511,25 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return -float(label_logp.mean()), dlogits / logits.shape[0]
 
 
-def loss_and_grad(
-    net: NetworkGraph,
-    batch: Batch,
-    need_param_grads: bool = True,
-    need_input_grad: bool = True,
-):
-    """Mean cross-entropy plus gradients w.r.t. parameters and inputs.
+def loss_and_grad(net: NetworkGraph, batch: Batch):
+    """Mean cross-entropy and its parameter gradients, in one pass over the batch."""
+    logits, state = forward_cache(net, batch.inputs)
+    loss, dlogits = cross_entropy(logits, batch.labels)
+    return loss, backward(net, state, dlogits)
 
-    Without parameter gradients the batch runs forward and backward one
-    block at a time; the logits gradient is still scaled by the full batch.
+
+def input_grad(net: NetworkGraph, inputs: np.ndarray, dlogits_of) -> np.ndarray:
+    """Gradient of a loss with respect to the inputs, one block of images at a time.
+
+    `dlogits_of(logits, rows)` returns the logits cotangent of the block
+    `inputs[rows]`, already scaled by the whole batch.
     """
-    inputs, labels = batch_arrays(batch)
-    if labels.size and labels.max() >= net.output_shapes[-1][0]:
-        raise ValidationError("label exceeds class count")
-    if need_param_grads:
-        logits, state = forward_cache(net, inputs)
-        loss, dlogits = cross_entropy(logits, labels)
-        param_grads, dx = backward(net, state, dlogits, True, need_input_grad)
-        return loss, param_grads, dx
     x = np.asarray(inputs, dtype=np.float64)
-    n = x.shape[0]
-    label_logp = np.empty(n)
-    dx = np.empty(x.shape) if need_input_grad else None
-    for rows in _blocks(net, n):
+    dx = np.empty(x.shape)
+    for rows in _blocks(net, x.shape[0]):
         logits, state = forward_cache(net, x[rows], need_param_grads=False)
-        label_logp[rows], dlogits = _label_logp_and_grad(logits, labels[rows])
-        if need_input_grad:
-            _, dx[rows] = backward(net, state, dlogits / n, need_param_grads=False)
-    return -float(label_logp.mean()), None, dx
+        dx[rows] = backward(net, state, dlogits_of(logits, rows), need_param_grads=False)
+    return dx
 
 
 def predict(net: NetworkGraph, inputs: np.ndarray) -> np.ndarray:

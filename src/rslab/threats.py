@@ -19,9 +19,11 @@ Each returns (perturbed, aux); `aux` holds the budgeted variables so
 independent oracles can check the constraint on the variable that was
 actually projected. `generate` is the public entry point: it ascends the
 cross-entropy. TRADES' inner maximization (`training._kl_pgd`) drives the
-same table with its KL gradient through `_perturb`. Attacks are
-deterministic given (net params, batch, seed) and attack each point
-independently.
+same table through `_perturb`, with the KL divergence from the clean
+predictions as its loss. Both take the loss's input gradient from
+`nets.input_grad` and differ only in the logits cotangent they hand it.
+Attacks are deterministic given (net params, batch, seed) and attack each
+point independently.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 from . import errors
 from .activations import THREAT_KINDS
 from .errors import KindError, ShapeError, ValidationError
-from .nets import Batch, NetworkGraph, loss_and_grad, predict
+from .nets import Batch, NetworkGraph, _label_logp_and_grad, input_grad, predict
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ThreatModel:
 
 @dataclass
 class AdversarialBatch:
-    """Original and perturbed inputs plus which predictions flipped.
+    """Original and perturbed inputs with the net's predictions on both.
 
     `aux` exposes the attack's budgeted variables (coefficient deltas,
     amplitude fields, streak intensities); it is None for the norm balls
@@ -88,8 +90,14 @@ class AdversarialBatch:
     perturbed: np.ndarray
     labels: np.ndarray
     threat: ThreatModel
-    success_mask: np.ndarray
+    clean_predictions: np.ndarray
+    predictions: np.ndarray
     aux: dict | None = None
+
+    @property
+    def success_mask(self) -> np.ndarray:
+        """Points whose prediction the attack flipped."""
+        return self.predictions != self.clean_predictions
 
 
 def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> AdversarialBatch:
@@ -97,13 +105,11 @@ def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> Adversari
     x0 = batch.inputs.copy()
     labels = batch.labels
 
-    def grad(x):
-        _, _, dx = loss_and_grad(net, Batch(x, labels), need_param_grads=False)
-        return dx
+    def dlogits_of(logits, rows):
+        return _label_logp_and_grad(logits, labels[rows])[1] / batch.n
 
-    x, aux = _perturb(grad, x0, threat, seed)
-    flipped = predict(net, x) != predict(net, x0)
-    return AdversarialBatch(x0, x, labels, threat, flipped, aux)
+    x, aux = _perturb(lambda x: input_grad(net, x, dlogits_of), x0, threat, seed)
+    return AdversarialBatch(x0, x, labels, threat, predict(net, x0), predict(net, x), aux)
 
 
 def _perturb(grad, x0, threat: ThreatModel, seed: int):
@@ -333,17 +339,18 @@ def evaluate_accuracy(
     """(benign accuracy, robust accuracy) over a labeled batch.
 
     The attack runs on 128-point chunks, the chunk at offset s with seed
-    seed + s. Robust accuracy is None when no threat is given; it is
-    reported as-is and not forced below the benign value.
+    seed + s, and both accuracies come from its predictions. Robust accuracy
+    is None when no threat is given; it is reported as-is and not forced
+    below the benign value.
     """
     if data.n == 0:
         raise ValidationError("dataset must be nonempty")
-    benign = float((predict(net, data.inputs) == data.labels).mean())
     if threat is None:
-        return benign, None
-    correct = 0
+        return float((predict(net, data.inputs) == data.labels).mean()), None
+    benign = robust = 0
     for s in range(0, data.n, 128):
-        sub = Batch(data.inputs[s : s + 128], data.labels[s : s + 128])
-        adv = generate(net, sub, threat, seed=seed + s)
-        correct += int((predict(net, adv.perturbed) == sub.labels).sum())
-    return benign, correct / data.n
+        adv = generate(net, Batch(data.inputs[s : s + 128], data.labels[s : s + 128]),
+                       threat, seed=seed + s)
+        benign += int((adv.clean_predictions == adv.labels).sum())
+        robust += int((adv.predictions == adv.labels).sum())
+    return benign / data.n, robust / data.n

@@ -315,24 +315,22 @@ def _sgd_step(params, grads, velocity, lr, momentum):
             p[key] += v[key]
 
 
-def _kl_pgd(net, batch: Batch, threat: ThreatModel, seed: int) -> np.ndarray:
-    """Inner maximization of KL(p(x) || p(x')) within the threat's budget."""
-    x0 = batch.inputs
-    p0 = nets.softmax(nets.forward(net, x0)[0])
+def _kl_pgd(net, x0: np.ndarray, p0: np.ndarray, threat: ThreatModel, seed: int) -> np.ndarray:
+    """Inner maximization of KL(p0 || p(x')) within the threat's budget around x0.
 
-    def kl_grad(x):
-        logits, state = nets.forward_cache(net, x, need_param_grads=False)
-        dlogits = (nets.softmax(logits) - p0) / len(x0)
-        return nets.backward(net, state, dlogits, need_param_grads=False)[1]
+    p0 holds the clean softmax probabilities of x0.
+    """
+    def dlogits_of(logits, rows):
+        return (nets.softmax(logits) - p0[rows]) / len(x0)
 
-    return _perturb(kl_grad, x0, threat, seed)[0]
+    return _perturb(lambda x: nets.input_grad(net, x, dlogits_of), x0, threat, seed)[0]
 
 
 def trades_loss_and_grad(net, batch: Batch, threat: ThreatModel, beta: float, seed: int):
     """CE(f(x), y) + beta * KL(p(x) || p(x_adv)) and its parameter gradients."""
-    x_adv = _kl_pgd(net, batch, threat, seed)
     n = batch.n
     logits_b, state_b = nets.forward_cache(net, batch.inputs)
+    x_adv = _kl_pgd(net, batch.inputs, nets.softmax(logits_b), threat, seed)
     logits_a, state_a = nets.forward_cache(net, x_adv)
     ce, dlogits_b = nets.cross_entropy(logits_b, batch.labels)
     logp = nets.log_softmax(logits_b)
@@ -344,8 +342,8 @@ def trades_loss_and_grad(net, batch: Batch, threat: ThreatModel, beta: float, se
     # d/dz of KL(p(z) || q): p_k [(logp - logq)_k - KL_row]; d/dz' is q - p
     dz_b = p * ((logp - logq) - kl_terms[:, None]) * (beta / n)
     dz_a = (q - p) * (beta / n)
-    grads_b, _ = nets.backward(net, state_b, dlogits_b + dz_b, need_input_grad=False)
-    grads_a, _ = nets.backward(net, state_a, dz_a, need_input_grad=False)
+    grads_b = nets.backward(net, state_b, dlogits_b + dz_b)
+    grads_a = nets.backward(net, state_a, dz_a)
     total = [
         {k: gb.get(k, 0.0) + ga.get(k, 0.0) for k in gb} if gb else {}
         for gb, ga in zip(grads_b, grads_a)
@@ -402,17 +400,11 @@ def checkpoint_probe(
     return benign_path, adv_path
 
 
-def _loss_and_accuracy(net, batch: Batch, chunk: int = 256) -> tuple:
+def _loss_and_accuracy(net, batch: Batch) -> tuple:
     """Mean cross-entropy and accuracy, both from one forward pass."""
-    total = 0.0
-    correct = 0
-    for s in range(0, batch.n, chunk):
-        sub = Batch(batch.inputs[s : s + chunk], batch.labels[s : s + chunk])
-        logits, _ = nets.forward(net, sub.inputs)
-        loss, _ = nets.cross_entropy(logits, sub.labels)
-        total += loss * sub.n
-        correct += int((logits.argmax(axis=1) == sub.labels).sum())
-    return total / batch.n, correct / batch.n
+    logits, _ = nets.forward(net, batch.inputs)
+    loss, _ = nets.cross_entropy(logits, batch.labels)
+    return loss, int((logits.argmax(axis=1) == batch.labels).sum()) / batch.n
 
 
 def train(
@@ -465,15 +457,14 @@ def train(
                     net, batch, config.threat,
                     seed=_batch_seed(config.seed, epoch, bi),
                 )
-                batch = Batch(adv.perturbed, batch.labels)
-                loss, grads, _ = nets.loss_and_grad(net, batch, need_input_grad=False)
+                loss, grads = nets.loss_and_grad(net, Batch(adv.perturbed, batch.labels))
             elif config.method == "trades":
                 loss, grads = trades_loss_and_grad(
                     net, batch, config.threat, config.beta,
                     seed=_batch_seed(config.seed, epoch, bi),
                 )
             else:
-                loss, grads, _ = nets.loss_and_grad(net, batch, need_input_grad=False)
+                loss, grads = nets.loss_and_grad(net, batch)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"loss diverged at epoch {epoch}, batch {bi}: {loss}"
@@ -514,12 +505,7 @@ def load_run(run_dir: str):
 
     A missing file raises OSError; malformed content raises FormatError.
     """
-    path = os.path.join(run_dir, "config.json")
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    config = errors.read_json(os.path.join(run_dir, "config.json"), FormatError)
     trace = EpochTrace.load_csv(os.path.join(run_dir, "trace.csv"))
     trace.run_dir = run_dir
     return config, trace

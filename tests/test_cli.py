@@ -128,6 +128,23 @@ def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+# nested past any parser's recursion limit
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen-data", "--spec"), ("train", "--config"), ("experiment", "--spec"),
+])
+@pytest.mark.parametrize("raw", [b'{"schema_version": 1, "x": "\xff"}', DEEP_JSON],
+                         ids=["non-utf8", "deep"])
+def test_unparsable_doc_exits_2(tmp_path, capsys, command, flag, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert run_cli(command, flag, str(path), "--out", str(tmp_path / "o")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "invalid JSON" in err["message"]
+
+
 @pytest.mark.parametrize("command,extra", [
     ("gen-data", ["--seed", "-1"]),
     ("attack", ["--seed", "-1"]),
@@ -291,15 +308,18 @@ def test_experiment_bad_metric_exits_2(tmp_path, capsys, metric):
 
 
 @pytest.mark.parametrize("name,corrupt", [
-    ("trace.csv", lambda text: text.splitlines(keepends=True)[0]),
-    ("trace.csv", lambda text: text.replace("\n2,", "\nabc,")),
-    ("config.json", lambda text: text[: len(text) // 2]),
-], ids=["header-only-trace", "non-numeric-trace", "bad-config-json"])
+    ("trace.csv", lambda raw: raw.splitlines(keepends=True)[0]),
+    ("trace.csv", lambda raw: raw.replace(b"\n2,", b"\nabc,")),
+    ("config.json", lambda raw: raw[: len(raw) // 2]),
+    ("config.json", lambda raw: raw.replace(b'"m0"', b'"\xff"')),
+    ("config.json", lambda raw: DEEP_JSON),
+], ids=["header-only-trace", "non-numeric-trace", "bad-config-json", "non-utf8-config",
+        "deep-config-json"])
 def test_experiment_on_corrupt_run_exits_5(pipeline, tmp_path, capsys, name, corrupt):
     _, _, _, run_dir = pipeline
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
-    (run / name).write_text(corrupt((run / name).read_text()))
+    (run / name).write_bytes(corrupt((run / name).read_bytes()))
     spec = write_json(
         tmp_path / "exp.json",
         {"schema_version": 1, "experiment": {"kind": "crosslayer", "runs": [str(run)]}},

@@ -16,9 +16,18 @@ from rslab.errors import (
 )
 
 
+def ce_cotangent(labels):
+    """`input_grad`'s dlogits_of for the mean cross-entropy of `labels`."""
+    return lambda logits, rows: nets._label_logp_and_grad(logits, labels[rows])[1] / len(labels)
+
+
+def mean_ce(net, x, labels):
+    return nets.cross_entropy(nets.forward(net, x)[0], labels)[0]
+
+
 def finite_diff_param_grads(net, batch, step=1e-5, stride=7):
     """Central finite differences on a strided subset of each tensor."""
-    loss0, grads, _ = nets.loss_and_grad(net, batch)
+    _, grads = nets.loss_and_grad(net, batch)
     worst = 0.0
     for li, p in enumerate(net.params):
         for key, arr in p.items():
@@ -26,9 +35,9 @@ def finite_diff_param_grads(net, batch, step=1e-5, stride=7):
             for k in range(0, flat.size, stride):
                 orig = flat[k]
                 flat[k] = orig + step
-                lp, _, _ = nets.loss_and_grad(net, batch, False, False)
+                lp = mean_ce(net, batch.inputs, batch.labels)
                 flat[k] = orig - step
-                lm, _, _ = nets.loss_and_grad(net, batch, False, False)
+                lm = mean_ce(net, batch.inputs, batch.labels)
                 flat[k] = orig
                 fd = (lp - lm) / (2 * step)
                 bp = grads[li][key].ravel()[k]
@@ -38,16 +47,16 @@ def finite_diff_param_grads(net, batch, step=1e-5, stride=7):
 
 
 def finite_diff_input_grad(net, batch, step=1e-5, stride=11):
-    _, _, dx = nets.loss_and_grad(net, batch, need_param_grads=False)
-    x = batch.inputs
+    dx = nets.input_grad(net, batch.inputs, ce_cotangent(batch.labels))
+    x = batch.inputs.copy()
     flat = x.ravel()
     worst = 0.0
     for k in range(0, flat.size, stride):
         orig = flat[k]
         flat[k] = orig + step
-        lp, _, _ = nets.loss_and_grad(net, nets.Batch(x, batch.labels), False, False)
+        lp = mean_ce(net, x, batch.labels)
         flat[k] = orig - step
-        lm, _, _ = nets.loss_and_grad(net, nets.Batch(x, batch.labels), False, False)
+        lm = mean_ce(net, x, batch.labels)
         flat[k] = orig
         fd = (lp - lm) / (2 * step)
         bp = dx.ravel()[k]
@@ -130,16 +139,29 @@ def test_blocked_passes_match_one_pass(resnet16, blocks, extra):
     # reference: the whole batch in one pass
     ref_logits, state = nets.forward_cache(net, x)
     ref_loss, dlogits = nets.cross_entropy(ref_logits, labels)
-    _, ref_dx = nets.backward(net, state, dlogits, need_param_grads=False)
+    ref_dx = nets.backward(net, state, dlogits, need_param_grads=False)
 
     logits, tapped = nets.forward(net, x, taps=net.taps)
     assert np.array_equal(logits, ref_logits)
     for t in net.taps:
         assert np.array_equal(tapped[t], nets._flatten_act(state[0][t]))
     assert np.array_equal(nets.predict(net, x), ref_logits.argmax(axis=1))
-    loss, grads, dx = nets.loss_and_grad(net, nets.Batch(x, labels), need_param_grads=False)
+    assert np.array_equal(nets.input_grad(net, x, ce_cotangent(labels)), ref_dx)
+    loss, _ = nets.loss_and_grad(net, nets.Batch(x, labels))
     assert loss == ref_loss
-    assert grads is None
+
+
+def test_blocked_kl_input_grad_matches_one_pass(resnet16):
+    # TRADES' ascent cotangent, over two whole blocks and a ragged tail
+    net = resnet16
+    n = 2 * nets._block_rows(net) + 3
+    rng = np.random.default_rng(12)
+    x0 = rng.uniform(0, 1, (n, 1, 16, 16))
+    x = np.clip(x0 + rng.uniform(-0.1, 0.1, x0.shape), 0.0, 1.0)
+    p0 = nets.softmax(nets.forward_cache(net, x0)[0])
+    logits, state = nets.forward_cache(net, x, need_param_grads=False)
+    ref_dx = nets.backward(net, state, (nets.softmax(logits) - p0) / n, need_param_grads=False)
+    dx = nets.input_grad(net, x, lambda lg, rows: (nets.softmax(lg) - p0[rows]) / n)
     assert np.array_equal(dx, ref_dx)
 
 
@@ -155,9 +177,16 @@ def test_param_grads_need_windowed_state(resnet16):
     dlogits = np.ones_like(logits)
     with pytest.raises(ValidationError):
         nets.backward(resnet16, state, dlogits, need_param_grads=True)
-    _, dx = nets.backward(resnet16, state, dlogits, need_param_grads=False)
-    _, ref_dx = nets.backward(resnet16, nets.forward_cache(resnet16, x)[1], dlogits)
-    assert np.array_equal(dx, ref_dx)
+
+
+@pytest.mark.parametrize("label", [4, -1])
+def test_out_of_range_label_rejected(resnet16, label):
+    x = np.random.default_rng(8).uniform(0, 1, (3, 1, 16, 16))
+    batch = nets.Batch(x, [0, label, 1])
+    with pytest.raises(ValidationError):
+        nets.loss_and_grad(resnet16, batch)
+    with pytest.raises(ValidationError):
+        nets.input_grad(resnet16, x, ce_cotangent(batch.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +216,7 @@ def test_single_linear_layer_analytic_gradient():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, (4, 1, 2, 3))
     labels = rng.integers(0, 2, 4)
-    loss, grads, _ = nets.loss_and_grad(net, nets.Batch(x, labels))
+    _, grads = nets.loss_and_grad(net, nets.Batch(x, labels))
     flat = x.reshape(4, 6)
     logits = flat @ net.params[1]["w"] + net.params[1]["b"]
     probs = nets.softmax(logits)

@@ -167,7 +167,9 @@ def test_linf_one_step_analytic_sign_pattern():
     eps = 0.05
     threat = threats.ThreatModel("linf", eps, steps=1, step_size=3 * eps)
     adv = threats.generate(net, batch, threat, seed=0)
-    _, _, g = nets.loss_and_grad(net, batch, need_param_grads=False)
+    w = net.params[1]["w"]
+    probs = nets.softmax(x.reshape(5, 16) @ w + net.params[1]["b"])
+    g = ((probs - np.eye(2)[labels]) @ w.T).reshape(x.shape)
     expected = np.clip(x + eps * np.sign(g), 0.0, 1.0)
     assert np.abs(adv.perturbed - expected).max() <= 1e-12
 
@@ -236,6 +238,22 @@ def test_perfect_constant_net_benign_accuracy():
                       np.ones(10, dtype=int))
     benign, robust = threats.evaluate_accuracy(net, data)
     assert benign == 1.0 and robust is None
+
+
+def test_evaluate_accuracy_matches_recomputed_predictions(trained):
+    # 300 points: two whole 128-point chunks and a ragged one
+    net, _ = trained
+    spec = training.DatasetSpec(classes=4, size=16, n_train=4, n_val=300)
+    sub = training.make_synthetic_dataset(spec, seed=1).val
+    threat = threats.ThreatModel("linf", 0.1, steps=3)
+    benign, robust = threats.evaluate_accuracy(net, sub, threat, seed=5)
+    assert benign == float((nets.predict(net, sub.inputs) == sub.labels).mean())
+    correct = 0
+    for s in range(0, 300, 128):
+        chunk = nets.Batch(sub.inputs[s : s + 128], sub.labels[s : s + 128])
+        adv = threats.generate(net, chunk, threat, seed=5 + s)
+        correct += int((nets.predict(net, adv.perturbed) == chunk.labels).sum())
+    assert robust == correct / 300
 
 
 def test_eps_zero_robust_equals_benign(trained):

@@ -190,10 +190,15 @@ def test_trades_runs_and_records_adv_metrics(small_data):
     assert all(np.isfinite(e.train_loss) for e in trace.entries)
 
 
+def clean_probs(net, x):
+    return nets.softmax(nets.forward_cache(net, x)[0])
+
+
 def test_trades_l2_inner_max_stays_in_ball(small_data):
     net = nets.make_network("mlp-3", (1, 8, 8), classes=2, seed=5)
     batch = nets.Batch(small_data.train.inputs[:32], small_data.train.labels[:32])
-    x_adv = training._kl_pgd(net, batch, threats.ThreatModel("l2", 1.0, steps=5), seed=1)
+    threat = threats.ThreatModel("l2", 1.0, steps=5)
+    x_adv = training._kl_pgd(net, batch.inputs, clean_probs(net, batch.inputs), threat, seed=1)
     d = (x_adv - batch.inputs).reshape(batch.n, -1)
     norms = np.sqrt((d * d).sum(axis=1))
     assert norms.max() <= 1.0 + 1e-9
@@ -208,7 +213,7 @@ def test_trades_gradient_matches_finite_difference(small_data):
     # the adversarial point depends on parameters only through the inner PGD;
     # finite differences hold the perturbation fixed, so compare against the
     # same composite loss evaluated with a frozen x_adv
-    x_adv = training._kl_pgd(net, batch, threat, seed=9)
+    x_adv = training._kl_pgd(net, batch.inputs, clean_probs(net, batch.inputs), threat, seed=9)
 
     def composite():
         logits_b, _ = nets.forward(net, batch.inputs)
