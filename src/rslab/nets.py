@@ -11,9 +11,10 @@ cross-entropy and parameter gradients in one pass over the whole batch; it
 alone keeps the im2col windows (`cols`) that weight gradients need.
 `forward` (and `predict`) and `input_grad` take no parameter gradients and
 run the batch through the net one block of images at a time, sized so a
-block's layer outputs fit in `_BLOCK_BYTES`. `input_grad` is the gradient of
-every attack step and of TRADES' KL ascent: the caller's `dlogits_of`
-returns each block's logits cotangent, already scaled by the whole batch.
+block's layer outputs fit in `_BLOCK_BYTES`. `forward` keeps no backward
+state, not even ReLU masks. `input_grad` is the gradient of every attack
+step and of TRADES' KL ascent: the caller's `dlogits_of` returns each
+block's logits cotangent, already scaled by the whole batch.
 Every layer computes an image's outputs from that image's rows alone, so a
 block gives the bytes one pass over the whole batch gives, as long as BLAS
 sums each row of a product in the same order whatever the row count.
@@ -22,7 +23,8 @@ so a block never holds a single row of a longer batch. OpenBLAS's
 small-matrix kernel sums a narrow product with a long inner dimension (such
 as mlp-3's 256 -> 4 head) in another order than its large-matrix kernel, so
 such logits may move by an ulp; the width-1 miniresnet's products are not
-affected.
+affected. Average pooling sums each window in one fixed order, the one
+numpy's `mean` over the window axes takes, so it has no such exception.
 
 Checkpoints use RSCK v1, a `container` file (magic "RSCK") whose body is,
 little-endian, one record per parameter tensor:
@@ -310,7 +312,9 @@ def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray, keep_cols: bool):
     cols, oh, ow = _im2col(x, k, spec.stride, spec.pad)
     # weight matrix in window order: [(row*k + col)*c_in + ci, c_out]
     wm = p["w"].transpose(2, 3, 1, 0).reshape(k * k * spec.in_channels, -1)
-    out = (cols @ wm + p["b"]).reshape(x.shape[0], oh, ow, spec.out_channels)
+    out = cols @ wm
+    out += p["b"]
+    out = out.reshape(x.shape[0], oh, ow, spec.out_channels)
     return out, (cols if keep_cols else None, x.shape)
 
 
@@ -366,6 +370,24 @@ def _blocks(net: NetworkGraph, n: int) -> list:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _avg_pool(x: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping k x k mean of NHWC x.
+
+    Sums the window's slices in the order numpy's `mean(axis=(2, 4))` of the
+    (n, h/k, k, w/k, k, c) view takes them, from 0.0 as its reduction does,
+    so the bytes are the same; the slices skip `mean`'s generic reduction.
+    """
+    n, h, w, c = x.shape
+    v = x.reshape(n, h // k, k, w // k, k, c)
+    out = v[:, :, 0, :, 0] + 0.0
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                out += v[:, :, i, :, j]
+    out /= k * k
+    return out
+
+
 def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool, keep_cols: bool = False):
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
@@ -380,17 +402,16 @@ def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool, keep_cols: 
         cache = None
         if isinstance(spec, Dense):
             cache = cur
-            cur = cur @ p["w"] + p["b"]
+            cur = cur @ p["w"]
+            cur += p["b"]
         elif isinstance(spec, Conv2d):
             cur, cache = _conv_forward(spec, p, cur, keep_cols)
         elif isinstance(spec, Relu):
-            cache = cur > 0
+            if want_cache:
+                cache = cur > 0
             cur = np.maximum(cur, 0.0)
         elif isinstance(spec, AvgPool):
-            k = spec.kernel
-            n, h, w, c = cur.shape
-            cache = cur.shape
-            cur = cur.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
+            cur = _avg_pool(cur, spec.kernel)
         elif isinstance(spec, Flatten):
             cache = cur.shape
             cur = _flatten_act(cur)
@@ -466,7 +487,7 @@ def backward(net: NetworkGraph, fw_state, dlogits: np.ndarray, need_param_grads:
             send(i - 1, g * cache)
         elif isinstance(spec, AvgPool):
             k = spec.kernel
-            send(i - 1, np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k))
+            send(i - 1, np.repeat(np.repeat(g / (k * k), k, axis=1), k, axis=2))
         elif isinstance(spec, Flatten):
             if len(cache) == 4:
                 n, h, w, c = cache

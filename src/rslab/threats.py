@@ -18,16 +18,18 @@ kind to the function that sets its start, decode, pull-back and step:
 Each returns (perturbed, aux); `aux` holds the budgeted variables so
 independent oracles can check the constraint on the variable that was
 actually projected. `generate` is the public entry point: it ascends the
-cross-entropy. TRADES' inner maximization (`training._kl_pgd`) drives the
-same table through `_perturb`, with the KL divergence from the clean
-predictions as its loss. Both take the loss's input gradient from
-`nets.input_grad` and differ only in the logits cotangent they hand it.
-Attacks are deterministic given (net params, batch, seed) and attack each
-point independently.
+cross-entropy and returns an `AdversarialBatch`, whose predictions are
+computed on first read from the parameters copied at attack time. TRADES'
+inner maximization (`training._kl_pgd`) drives the same table through
+`_perturb`, with the KL divergence from the clean predictions as its loss.
+Both take the loss's input gradient from `nets.input_grad` and differ only
+in the logits cotangent they hand it. Attacks are deterministic given (net
+params, batch, seed) and attack each point independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,18 +83,29 @@ class ThreatModel:
 class AdversarialBatch:
     """Original and perturbed inputs with the net's predictions on both.
 
-    `aux` exposes the attack's budgeted variables (coefficient deltas,
-    amplitude fields, streak intensities); it is None for the norm balls
-    and at epsilon 0.
+    `net` is the attacked net with its parameters as `generate` copied them,
+    so a training step that updates the live net in place does not move
+    them. The predictions are computed from it on first read; callers that
+    read none, such as advpgd training, pay for no forward pass. `aux`
+    exposes the attack's budgeted variables (coefficient deltas, amplitude
+    fields, streak intensities); it is None for the norm balls and at
+    epsilon 0.
     """
 
     originals: np.ndarray
     perturbed: np.ndarray
     labels: np.ndarray
     threat: ThreatModel
-    clean_predictions: np.ndarray
-    predictions: np.ndarray
+    net: NetworkGraph = field(repr=False)
     aux: dict | None = None
+
+    @cached_property
+    def clean_predictions(self) -> np.ndarray:
+        return predict(self.net, self.originals)
+
+    @cached_property
+    def predictions(self) -> np.ndarray:
+        return predict(self.net, self.perturbed)
 
     @property
     def success_mask(self) -> np.ndarray:
@@ -109,7 +122,8 @@ def generate(net, batch: Batch, threat: ThreatModel, seed: int = 0) -> Adversari
         return _label_logp_and_grad(logits, labels[rows])[1] / batch.n
 
     x, aux = _perturb(lambda x: input_grad(net, x, dlogits_of), x0, threat, seed)
-    return AdversarialBatch(x0, x, labels, threat, predict(net, x0), predict(net, x), aux)
+    attacked = replace(net, params=[{k: v.copy() for k, v in p.items()} for p in net.params])
+    return AdversarialBatch(x0, x, labels, threat, attacked, aux)
 
 
 def _perturb(grad, x0, threat: ThreatModel, seed: int):
@@ -240,16 +254,18 @@ def gabor_bank() -> np.ndarray:
     return np.stack(kernels)
 
 
-def _conv_same(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """'same' 2-d convolution of (n, h, w) fields with one kernel."""
+def _same_windows(fields: np.ndarray, k: int):
+    """im2col windows of (n, h, w) fields for a 'same' k x k convolution."""
     from .nets import _im2col
 
-    k = kernel.shape[0]
-    pad = k // 2
-    x = fields[:, :, :, None]  # NHWC with one channel
-    cols, oh, ow = _im2col(x, k, 1, pad)
-    out = cols @ kernel[::-1, ::-1].reshape(-1)
-    return out.reshape(fields.shape[0], oh, ow)
+    cols, oh, ow = _im2col(fields[:, :, :, None], k, 1, k // 2)  # NHWC, one channel
+    return cols, (fields.shape[0], oh, ow)
+
+
+def _conv_same(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """'same' 2-d convolution of (n, h, w) fields with one kernel."""
+    cols, shape = _same_windows(fields, kernel.shape[0])
+    return (cols @ kernel[::-1, ::-1].reshape(-1)).reshape(shape)
 
 
 def gabor_noise(bank: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -270,8 +286,10 @@ def _gabor(grad, x0, threat, seed):
         return np.clip(x0 + gabor_noise(bank, amps), 0.0, 1.0)
 
     def pullback(g):
-        gsum = g.sum(axis=1)  # one field shared across channels
-        return np.stack([_conv_same(gsum, k[::-1, ::-1]) for k in bank], axis=1)
+        # correlation with each kernel: one field shared across channels, so
+        # its windows serve all eight
+        cols, shape = _same_windows(g.sum(axis=1), bank.shape[1])
+        return np.stack([(cols @ k.reshape(-1)).reshape(shape) for k in bank], axis=1)
 
     def step(amps, da):
         return np.clip(amps + alpha * np.sign(da) * masks, -eps, eps) * masks
@@ -288,21 +306,16 @@ def snow_masks(
     n: int, h: int, w: int, seed: int, streaks: int = 12
 ) -> np.ndarray:
     """Per-image diagonal streak masks (n, streaks, h, w) with values in [0,1]."""
-    rng = np.random.default_rng(seed)
+    cy, cx, length = np.random.default_rng(seed).uniform(
+        (0, 0, 4), (h - 1, w - 1, 8), size=(n, streaks, 3)
+    ).transpose(2, 0, 1)[:, :, :, None, None]
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    masks = np.zeros((n, streaks, h, w))
-    for i in range(n):
-        for s in range(streaks):
-            cy = rng.uniform(0, h - 1)
-            cx = rng.uniform(0, w - 1)
-            length = rng.uniform(4.0, 8.0)
-            # diagonal direction (1,1)/sqrt(2)
-            ty = (yy - cy + xx - cx) / 2.0
-            along = np.abs(ty) <= length / 2.0
-            d_perp = np.abs((yy - cy) - (xx - cx)) / np.sqrt(2.0)
-            m = np.exp(-(d_perp**2) / (2 * 0.7**2)) * along
-            m[m < 0.01] = 0.0
-            masks[i, s] = m
+    # diagonal direction (1,1)/sqrt(2)
+    ty = (yy - cy + xx - cx) / 2.0
+    along = np.abs(ty) <= length / 2.0
+    d_perp = np.abs((yy - cy) - (xx - cx)) / np.sqrt(2.0)
+    masks = np.exp(-(d_perp**2) / (2 * 0.7**2)) * along
+    masks[masks < 0.01] = 0.0
     return masks
 
 

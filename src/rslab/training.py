@@ -235,21 +235,18 @@ def _render(spec: DatasetSpec, labels: np.ndarray, rng) -> np.ndarray:
     n = len(labels)
     size = spec.size
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    centers = _class_centers(spec.classes, size)
     angles = np.pi * np.arange(spec.classes) / spec.classes
-    imgs = np.full((n, size, size), spec.background, dtype=np.float64)
+    # one scalar call per class: numpy's array cos and sin may round differently
+    cos = np.array([np.cos(th) for th in angles])[labels, None, None]
+    sin = np.array([np.sin(th) for th in angles])[labels, None, None]
     jit = rng.integers(-spec.jitter, spec.jitter + 1, size=(n, 2)) if spec.jitter else np.zeros((n, 2))
-    phase = rng.uniform(0, 2 * np.pi, size=n)
-    for i in range(n):
-        c = labels[i]
-        cy, cx = centers[c] + jit[i]
-        bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * spec.blob_sigma**2))
-        th = angles[c]
-        wave = np.sin(
-            2 * np.pi * spec.texture_cycles * (xx * np.cos(th) + yy * np.sin(th)) / size
-            + phase[i]
-        )
-        imgs[i] += spec.blob_amplitude * bump + spec.texture_amplitude * wave
+    phase = rng.uniform(0, 2 * np.pi, size=n)[:, None, None]
+    cy, cx = (_class_centers(spec.classes, size)[labels] + jit).T[:, :, None, None]
+    bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * spec.blob_sigma**2))
+    wave = np.sin(
+        2 * np.pi * spec.texture_cycles * (xx * cos + yy * sin) / size + phase
+    )
+    imgs = spec.background + (spec.blob_amplitude * bump + spec.texture_amplitude * wave)
     if spec.noise_std > 0:
         imgs += rng.normal(0.0, spec.noise_std, imgs.shape)
     imgs = np.clip(imgs, 0.0, 1.0)

@@ -212,3 +212,51 @@ def block_mean_with_loops(values: np.ndarray, min_lag: int) -> float:
                 total += values[i, j]
                 count += 1
     return total / count
+
+
+def render_per_image(spec, labels, rng) -> np.ndarray:
+    """Synthetic images drawn one at a time, with the RNG draws in dataset order."""
+    n = len(labels)
+    size = spec.size
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    lo, hi = size * 0.3, size * 0.7
+    grid = [(lo, lo), (hi, hi), (lo, hi), (hi, lo), (size / 2, size / 2),
+            (lo, size / 2), (hi, size / 2), (size / 2, lo)]
+    centers = np.array([grid[c % len(grid)] for c in range(spec.classes)])
+    angles = np.pi * np.arange(spec.classes) / spec.classes
+    imgs = np.full((n, size, size), spec.background, dtype=np.float64)
+    jit = rng.integers(-spec.jitter, spec.jitter + 1, size=(n, 2)) if spec.jitter else np.zeros((n, 2))
+    phase = rng.uniform(0, 2 * np.pi, size=n)
+    for i in range(n):
+        c = labels[i]
+        cy, cx = centers[c] + jit[i]
+        bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * spec.blob_sigma**2))
+        th = angles[c]
+        wave = np.sin(
+            2 * np.pi * spec.texture_cycles * (xx * np.cos(th) + yy * np.sin(th)) / size
+            + phase[i]
+        )
+        imgs[i] += spec.blob_amplitude * bump + spec.texture_amplitude * wave
+    if spec.noise_std > 0:
+        imgs += rng.normal(0.0, spec.noise_std, imgs.shape)
+    imgs = np.clip(imgs, 0.0, 1.0)
+    return np.repeat(imgs[:, None, :, :], spec.channels, axis=1)
+
+
+def snow_masks_per_streak(n: int, h: int, w: int, seed: int, streaks: int = 12) -> np.ndarray:
+    """Diagonal streak masks built one streak at a time, three draws per streak."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    masks = np.zeros((n, streaks, h, w))
+    for i in range(n):
+        for s in range(streaks):
+            cy = rng.uniform(0, h - 1)
+            cx = rng.uniform(0, w - 1)
+            length = rng.uniform(4.0, 8.0)
+            ty = (yy - cy + xx - cx) / 2.0
+            along = np.abs(ty) <= length / 2.0
+            d_perp = np.abs((yy - cy) - (xx - cx)) / np.sqrt(2.0)
+            m = np.exp(-(d_perp**2) / (2 * 0.7**2)) * along
+            m[m < 0.01] = 0.0
+            masks[i, s] = m
+    return masks

@@ -171,6 +171,25 @@ def test_block_sizes_follow_layer_widths(resnet16):
     assert nets._block_rows(nets.make_network("mlp-3", width_factor=4, seed=0)) > 256
 
 
+# k = 4 on a 4 x 4 map is the miniresnet's global pool
+@pytest.mark.parametrize("n", [1, 2, 28, 29])
+@pytest.mark.parametrize("h,k", [(16, 2), (8, 2), (4, 4)])
+def test_avg_pool_bytes_match_numpy_mean(n, h, k):
+    # ReLU outputs of mixed magnitude: exact zeros, and sums whose rounding
+    # depends on the order the window is added in
+    rng = np.random.default_rng(100 * n + h + k)
+    x = np.maximum(rng.normal(size=(n, h, h, 8)) * 10.0 ** rng.uniform(-3, 3, (n, h, h, 8)), 0.0)
+    assert (x == 0.0).any()
+    ref = x.reshape(n, h // k, k, h // k, k, 8).mean(axis=(2, 4))
+    assert nets._avg_pool(x, k).tobytes() == ref.tobytes()
+
+
+def test_avg_pool_of_negative_zeros_matches_numpy_mean():
+    x = np.full((1, 4, 4, 2), -0.0)
+    ref = x.reshape(1, 2, 2, 2, 2, 2).mean(axis=(2, 4))
+    assert nets._avg_pool(x, 2).tobytes() == ref.tobytes()
+
+
 def test_param_grads_need_windowed_state(resnet16):
     x = np.random.default_rng(7).uniform(0, 1, (3, 1, 16, 16))
     logits, state = nets.forward_cache(resnet16, x, need_param_grads=False)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from rslab import nets, threats, training
 from rslab.activations import THREAT_KINDS
 from rslab.errors import KindError, ValidationError
@@ -149,6 +150,14 @@ def test_snow_single_streak_support():
     assert np.array_equal(changed[0, 0], masks[0, 0] > 0)
 
 
+@pytest.mark.parametrize("n,h,w,streaks,seed", [
+    (1, 16, 16, 12, 0), (5, 16, 16, 1, 3), (128, 16, 16, 12, 7), (3, 8, 24, 5, 11),
+])
+def test_snow_masks_match_per_streak_oracle(n, h, w, streaks, seed):
+    got = threats.snow_masks(n, h, w, seed, streaks)
+    assert got.tobytes() == oracles.snow_masks_per_streak(n, h, w, seed, streaks).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # analytic one-step and loss ascent
 
@@ -223,6 +232,47 @@ def test_monotone_budget_effect(trained):
         accs.append(robust)
     assert accs[0] >= accs[1] - 0.02
     assert accs[1] >= accs[2] - 0.02
+
+
+# ---------------------------------------------------------------------------
+# predictions are read lazily from the parameters of attack time
+
+
+def own_copy(net):
+    return nets.NetworkGraph(
+        net.layers, net.input_shape,
+        params=[{k: v.copy() for k, v in p.items()} for p in net.params],
+    )
+
+
+@pytest.mark.parametrize("kind,eps", ALL_KINDS, ids=[k for k, _ in ALL_KINDS])
+def test_predictions_survive_in_place_parameter_updates(trained, kind, eps):
+    net = own_copy(trained[0])
+    data = trained[1]
+    sub = nets.Batch(data.val.inputs[:24], data.val.labels[:24])
+    adv = threats.generate(net, sub, threats.ThreatModel(kind, eps, steps=3), seed=2)
+    clean = nets.predict(net, sub.inputs)
+    attacked = nets.predict(net, adv.perturbed)
+    # negated logits: an in-place update that moves every prediction
+    net.params[-1]["w"] *= -1.0
+    net.params[-1]["b"] *= -1.0
+    assert (nets.predict(net, sub.inputs) != clean).all()
+    assert np.array_equal(adv.clean_predictions, clean)
+    assert np.array_equal(adv.predictions, attacked)
+    assert np.array_equal(adv.success_mask, clean != attacked)
+
+
+def test_predictions_are_computed_once_on_first_read(trained, monkeypatch):
+    net, data = trained
+    calls = []
+    monkeypatch.setattr(threats, "predict", lambda n, x: calls.append(len(x)) or nets.predict(n, x))
+    sub = nets.Batch(data.val.inputs[:16], data.val.labels[:16])
+    adv = threats.generate(net, sub, threats.ThreatModel("linf", 0.1, steps=2), seed=0)
+    assert calls == []
+    adv.success_mask
+    adv.success_mask
+    adv.clean_predictions
+    assert calls == [16, 16]
 
 
 # ---------------------------------------------------------------------------

@@ -55,5 +55,10 @@ def test_traced_pipeline_spans(tmp_path):
     spans = tracer.spans
     assert [s[4] for s in spans if s[0] == "cli.main"] == [{"rc": 0}] * 3
     assert not [s[0] for s in spans if (s[4] or {}).get("raised")]
+    # the annotation reads success_mask, so this runs the lazy predictions
+    attacks = [s[4] for s in spans if s[0] == "threats.generate"]
+    assert attacks and all(
+        type(a["flipped"]) is int and 0 <= a["flipped"] <= a["points"] for a in attacks
+    )
     passes = [s for s in spans if s[0] in ("nets.forward_cache", "nets.backward")]
     assert passes and all(s[4]["flop"] > 0 for s in passes)

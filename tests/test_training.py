@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from rslab import activations, nets, threats, training
 from rslab.errors import ConfigError
 
@@ -114,6 +115,21 @@ def test_dataset_reference_tree_accuracy():
     assert acc == pytest.approx(0.746, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec_kw", [
+    {}, {"jitter": 0}, {"channels": 3}, {"classes": 7, "size": 12, "noise_std": 0.0},
+], ids=["default", "jitter0", "channels3", "classes7"])
+@pytest.mark.parametrize("n,seed", [(1, 0), (5, 1), (300, 2)])
+def test_render_matches_per_image_oracle(spec_kw, n, seed):
+    spec = training.DatasetSpec(**spec_kw)
+    labels = np.random.default_rng(seed).integers(0, spec.classes, n)
+    rng_got, rng_want = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+    got = training._render(spec, labels, rng_got)
+    want = oracles.render_per_image(spec, labels, rng_want)
+    assert got.tobytes() == want.tobytes()
+    # the same draws, in the same order
+    assert rng_got.random() == rng_want.random()
+
+
 def test_dataset_save_load_roundtrip(tmp_path):
     spec = training.DatasetSpec(n_train=30, n_val=10)
     data = training.make_synthetic_dataset(spec, seed=3)
@@ -163,6 +179,23 @@ def test_advpgd_eps0_identical_to_standard(small_data):
     for pa, pb in zip(net_a.params, net_b.params):
         for k in pa:
             assert np.array_equal(pa[k], pb[k])
+
+
+def test_advpgd_training_reads_no_attack_predictions(tmp_path, small_data, monkeypatch):
+    # every batch, the validation attack and the adversarial probe generate,
+    # and none of them reads the attacked net's predictions
+    generated, predicted = [], []
+    real_generate = training.generate
+    monkeypatch.setattr(training, "generate",
+                        lambda *a, **k: generated.append(1) or real_generate(*a, **k))
+    monkeypatch.setattr(threats, "predict", lambda n, x: predicted.append(len(x)) or nets.predict(n, x))
+    threat = threats.ThreatModel("linf", 0.05, steps=2)
+    net = nets.make_network("mlp-3", (1, 8, 8), classes=2, seed=2)
+    cfg = training.TrainingConfig(method="advpgd", threat=threat, epochs=2, probe_size=16,
+                                  checkpoint_every=1)
+    training.train(net, small_data, cfg, out_dir=str(tmp_path / "run"))
+    assert len(generated) == 2 * (4 + 1 + 1)
+    assert predicted == []
 
 
 def test_training_deterministic(small_data):
