@@ -214,7 +214,7 @@ def cmd_compare(args) -> int:
         "metric": metric.to_json(),
         "mean": float(sm.values.mean()),
         "mean_diagonal": float(np.mean(diag)) if diag else None,
-        "degenerate_cells": int(sm.degenerate.sum()) if sm.degenerate is not None else 0,
+        "degenerate_cells": int(sm.degenerate.sum()),
         "clamped": clamped,
     }
     errors.write_json(os.path.join(args.out, "summary.json"), summary)

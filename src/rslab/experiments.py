@@ -1,5 +1,5 @@
 """Experiment families: cross-layer structure, budget/width grids, benign
-vs adversarial divergence, transfer, evolution over epochs, threat grids.
+vs adversarial divergence, evolution over epochs, threat grids.
 
 Each runner consumes completed run directories (or in-memory nets), writes
 matrix_*.csv / curves_*.csv / summary.json / heatmap_*.ppm into its output
@@ -13,23 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import errors, nets
-from .activations import Condition, read_dump, record_activations
-from .errors import (
-    ConfigError,
-    ProbeMismatchError,
-    ShapeError,
-    ValidationError,
-)
-from .nets import Batch
+from . import errors
+from .activations import read_dump
+from .errors import ConfigError, ProbeMismatchError, ValidationError
 from .ppm import write_heatmap
-from .simmetrics import MetricKind, SimilarityMatrix, block_structure_score, crosslayer_matrix
-from .threats import ThreatModel, generate
-from .training import EpochTrace, load_run
-
-EXPERIMENT_KINDS = (
-    "crosslayer", "grid", "divergence", "transfer", "evolution", "threatgrid",
-)
+from .simmetrics import MetricKind, block_structure_score, crosslayer_matrix
+from .training import load_run
 
 
 @dataclass(frozen=True)
@@ -45,14 +34,14 @@ class ExperimentSpec:
     eps_values: tuple[float, ...] = ()  # grid: epsilon per run
     width_values: tuple[int, ...] = ()  # grid: width per run
     taps: tuple[int, ...] = ()          # evolution: restrict to these layer indices
-    threat: ThreatModel | None = None  # transfer: attack to generate
-    data_path: str | None = None       # transfer: dataset file
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.condition not in ("benign", "adv"):
             raise ConfigError(f"unknown condition {self.condition!r}")
+        if self.labels and len(self.labels) != len(self.runs):
+            raise ConfigError(f"{len(self.labels)} labels for {len(self.runs)} runs")
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentSpec":
@@ -117,6 +106,9 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
     width_values = spec.width_values or (None,) * len(spec.runs)
     if not (len(spec.runs) == len(eps_values) == len(width_values)):
         raise ConfigError("grid needs aligned runs/eps_values/width_values")
+    cells = list(zip(eps_values, width_values))
+    if len(set(cells)) != len(cells):
+        raise ConfigError("grid has two runs in the same (epsilon, width) cell")
     eps_axis = sorted(set(eps_values))
     width_axis = sorted(set(width_values))
     grid = np.full((len(eps_axis), len(width_axis)), np.nan)
@@ -138,20 +130,14 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
         ["epsilon\\width"] + [str(w) for w in width_axis],
         [[str(e)] + [f"{v:.12g}" for v in grid[i]] for i, e in enumerate(eps_axis)],
     )
-    monotone = {}
-    for j, width in enumerate(width_axis):
-        col = grid[:, j]
-        ok = np.all(np.diff(col[~np.isnan(col)]) >= -0.02)
-        monotone[str(width)] = bool(ok)
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "grid",
         "eps_axis": [e for e in eps_axis],
         "width_axis": [w for w in width_axis],
         "scores": [[None if np.isnan(v) else v for v in row] for row in grid],
-        "monotone_in_eps": monotone,
         "missing": missing,
     })
-    return grid, monotone
+    return grid
 
 
 def divergence_curve(benign_set, adv_set, metric: MetricKind):
@@ -192,77 +178,6 @@ def run_divergence(spec: ExperimentSpec, out_dir: str):
     )
     errors.write_json(os.path.join(out_dir, "summary.json"), summary)
     return curve, summary
-
-
-def transfer_matrix(models: dict, data: Batch, threat: ThreatModel, seed: int = 0):
-    """Robust accuracy of source-generated examples on every target model.
-
-    models: {name: NetworkGraph}. Returns (names, accuracy matrix, curves)
-    where curves[(src, tgt)] is the layer-wise similarity between source and
-    target activations on the source's adversarial examples.
-    """
-    names = list(models)
-    shapes = {models[n].input_shape for n in names}
-    if len(shapes) != 1:
-        raise ShapeError("transfer requires a shared input shape")
-    acc = np.zeros((len(names), len(names)))
-    curves = {}
-    metric = MetricKind.linear_cka()
-    for i, src in enumerate(names):
-        adv = generate(models[src], data, threat, seed=seed)
-        adv_batch = Batch(adv.perturbed, data.labels)
-        cond = Condition.adversarial(threat.kind, threat.epsilon)
-        src_set = record_activations(models[src], adv_batch, cond, model_id=src)
-        for j, tgt in enumerate(names):
-            preds = nets.predict(models[tgt], adv.perturbed)
-            acc[i, j] = float((preds == data.labels).mean())
-            tgt_set = record_activations(models[tgt], adv_batch, cond, model_id=tgt)
-            curves[(src, tgt)] = np.array([
-                metric.evaluate(a.matrix, b.matrix)
-                for a, b in zip(src_set.records, tgt_set.records)
-            ])
-    return names, acc, curves
-
-
-def run_transfer(spec: ExperimentSpec, out_dir: str):
-    """Transfer tournament between the final checkpoints of the given runs."""
-    from .training import load_dataset
-
-    if len(spec.runs) < 2:
-        raise ConfigError("transfer expects at least two runs")
-    if spec.threat is None or spec.data_path is None:
-        raise ConfigError("transfer needs a threat and a dataset path")
-    labels = spec.labels or tuple(os.path.basename(r.rstrip("/")) for r in spec.runs)
-    models = {}
-    for label, run in zip(labels, spec.runs):
-        _, trace = load_run(run)
-        models[label] = nets.load_checkpoint(trace.entries[-1].checkpoint_path)
-    data = load_dataset(spec.data_path)
-    probe_n = min(256, data.val.n)
-    probe = Batch(data.val.inputs[:probe_n], data.val.labels[:probe_n])
-    names, acc, curves = transfer_matrix(models, probe, spec.threat)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_curve(
-        os.path.join(out_dir, "matrix_transfer_accuracy.csv"),
-        ["source\\target"] + names,
-        [[src] + [float(v) for v in acc[i]] for i, src in enumerate(names)],
-    )
-    layer_count = len(next(iter(curves.values())))
-    _write_curve(
-        os.path.join(out_dir, "curves_transfer_cka.csv"),
-        ["source", "target"] + [f"layer_{i}" for i in range(layer_count)],
-        [[s, t] + [float(v) for v in c] for (s, t), c in sorted(curves.items())],
-    )
-    errors.write_json(os.path.join(out_dir, "summary.json"), {
-        "kind": "transfer",
-        "names": names,
-        "accuracy": [[float(v) for v in row] for row in acc],
-        "mean_early_cka": {
-            f"{s}->{t}": float(c[: max(1, layer_count // 3)].mean())
-            for (s, t), c in sorted(curves.items())
-        },
-    })
-    return names, acc, curves
 
 
 def run_evolution(spec: ExperimentSpec, out_dir: str):
@@ -337,6 +252,8 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
     if len(spec.runs) < 2:
         raise ConfigError("threatgrid expects at least two runs")
     labels = spec.labels or tuple(os.path.basename(r.rstrip("/")) for r in spec.runs)
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"threatgrid labels are not distinct: {list(labels)}")
     sets = {}
     missing = []
     for label, run in zip(labels, spec.runs):
@@ -371,10 +288,10 @@ _RUNNERS = {
     "crosslayer": run_crosslayer,
     "grid": run_grid,
     "divergence": run_divergence,
-    "transfer": run_transfer,
     "evolution": run_evolution,
     "threatgrid": run_threatgrid,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str):

@@ -3,8 +3,9 @@
 All metrics take n x p activation matrices over the same n probe points,
 center columns internally, and are invariant to orthogonal transformations
 of the columns; the CKA family is additionally invariant to isotropic
-scaling. Degenerate inputs (all-zero after centering) score 0 with an
-explicit flag instead of NaN so downstream grids stay renderable.
+scaling. Degenerate inputs (all-zero after centering) score 0 instead of
+NaN so downstream grids stay renderable; `crosslayer_matrix` flags their
+cells in `SimilarityMatrix.degenerate`.
 
 Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
 once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
@@ -39,7 +40,6 @@ arithmetic and change no value beyond rounding.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +49,6 @@ from .errors import (
     AlignmentError,
     ConfigError,
     EmptySelectionError,
-    FormatError,
-    ManifestError,
     NumericalError,
     ShapeError,
     ValidationError,
@@ -66,13 +64,13 @@ from .numerics import (
 )
 
 
-def linear_cka(x, y, with_flag: bool = False):
+def linear_cka(x, y):
     """Linear CKA: |Y^T X|_F^2 / (|X^T X|_F |Y^T Y|_F) on centered matrices.
 
-    Returns a float in [0, 1]; with `with_flag` also returns whether either
-    input was degenerate (zero after centering), in which case the value is 0.
+    Returns a float in [0, 1]; 0 when either input is degenerate (zero after
+    centering).
     """
-    return MetricKind.linear_cka().evaluate(x, y, with_flag)
+    return MetricKind.linear_cka().evaluate(x, y)
 
 
 def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
@@ -185,22 +183,22 @@ def _orthonormal_basis(m: np.ndarray) -> np.ndarray:
     return u[:, s > tol]
 
 
-def mean_cca(x, y, with_flag: bool = False):
+def mean_cca(x, y):
     """Mean of the canonical correlation coefficients between x and y.
 
     Each matrix is centered and orthonormalized (projecting to its column
     space if rank deficient); the singular values of Qx^T Qy are the
     canonical correlations. Requires more rows than columns on both sides.
     """
-    return MetricKind.mean_cca().evaluate(x, y, with_flag)
+    return MetricKind.mean_cca().evaluate(x, y)
 
 
-def svcca(x, y, variance_fraction: float = 0.99, with_flag: bool = False):
+def svcca(x, y, variance_fraction: float = 0.99):
     """CCA after truncating both inputs to their leading principal directions."""
-    return MetricKind.svcca(variance_fraction).evaluate(x, y, with_flag)
+    return MetricKind.svcca(variance_fraction).evaluate(x, y)
 
 
-def procrustes_similarity(x, y, with_flag: bool = False):
+def procrustes_similarity(x, y):
     """Orthogonal Procrustes similarity 2|X^T Y|_* on normalized matrices.
 
     Inputs are centered and scaled to unit Frobenius norm. An input wider
@@ -209,7 +207,7 @@ def procrustes_similarity(x, y, with_flag: bool = False):
     cross-product nuclear norm unchanged too). Value lies in [0, 2];
     identical matrices score 2.
     """
-    return MetricKind.procrustes().evaluate(x, y, with_flag)
+    return MetricKind.procrustes().evaluate(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,13 +494,17 @@ class MetricKind:
 
 @dataclass
 class SimilarityMatrix:
-    """A layerA x layerB grid of metric scores with its range contract."""
+    """A layerA x layerB grid of metric scores with its range contract.
+
+    `degenerate` is always set: a boolean grid of the cells whose pair had a
+    degenerate layer, as `crosslayer_matrix` builds it.
+    """
 
     row_names: list
     col_names: list
     values: np.ndarray
     metric: MetricKind
-    degenerate: np.ndarray | None = None
+    degenerate: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -530,65 +532,9 @@ class SimilarityMatrix:
             "n": self.meta.get("n"),
             "model_ids": self.meta.get("model_ids"),
             "conditions": self.meta.get("conditions"),
-            "degenerate": (
-                None if self.degenerate is None else np.argwhere(self.degenerate).tolist()
-            ),
+            "degenerate": np.argwhere(self.degenerate).tolist(),
         }
         errors.write_json(base_path + ".json", sidecar)
-
-    @classmethod
-    def load(cls, base_path: str) -> "SimilarityMatrix":
-        """Read a grid written by `save`.
-
-        A ragged or non-numeric CSV raises FormatError; an unreadable
-        sidecar or a degenerate cell outside the grid raises ManifestError.
-        """
-        with open(base_path + ".csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise FormatError(f"{base_path}.csv: empty or ragged rows")
-        col_names = rows[0][1:]
-        row_names = [r[0] for r in rows[1:]]
-        try:
-            cells = [[float(v) for v in r[1:]] for r in rows[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{base_path}.csv: {exc}") from exc
-        values = np.array(cells).reshape(len(row_names), len(col_names))
-        if not np.isfinite(values).all():
-            raise FormatError(f"{base_path}.csv: non-finite value")
-        try:
-            with open(base_path + ".json") as fh:
-                sidecar = json.load(fh)
-        except ValueError as exc:  # also covers JSONDecodeError, bad UTF-8
-            raise ManifestError(f"{base_path}.json: {exc}") from exc
-        if not isinstance(sidecar, dict) or not isinstance(sidecar.get("metric"), dict):
-            raise ManifestError(f"{base_path}.json: no metric object")
-        try:
-            metric = MetricKind.from_json(sidecar["metric"])
-        except (ConfigError, ValidationError) as exc:
-            raise ManifestError(f"{base_path}.json: {exc}") from exc
-        meta = {k: sidecar.get(k) for k in ("n", "model_ids", "conditions")}
-        degenerate = None
-        if sidecar.get("degenerate") is not None:
-            degenerate = _cell_mask(sidecar["degenerate"], values.shape, base_path)
-        return cls(row_names, col_names, values, metric, degenerate, meta)
-
-
-def _cell_mask(cells, shape: tuple, base_path: str) -> np.ndarray:
-    """Boolean grid with the listed [i, j] cells set; rejects bad indices."""
-    mask = np.zeros(shape, dtype=bool)
-    if not isinstance(cells, list):
-        raise ManifestError(f"{base_path}.json: degenerate is not a list")
-    for cell in cells:
-        # type() rather than isinstance(): a bool is an int
-        if not (
-            isinstance(cell, list)
-            and len(cell) == 2
-            and all(type(v) is int and 0 <= v < s for v, s in zip(cell, shape))
-        ):
-            raise ManifestError(f"{base_path}.json: bad degenerate cell {cell!r}")
-        mask[cell[0], cell[1]] = True
-    return mask
 
 
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):

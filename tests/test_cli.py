@@ -105,13 +105,18 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("gen-data", {}, {"jitter": -1}),
     ("gen-data", {}, {"channels": -1}),
     ("gen-data", {}, {"n_val": 0}),
-    ("experiment", {}, {"kind": "transfer", "threat": {"kind": "nope", "epsilon": 0.1}}),
+    ("experiment", {}, {"kind": "crosslayer", "metric": {"name": "nope"}}),
+    ("experiment", {}, {"kind": "crosslayer", "metric": {"name": "linear_cka", "bogus": 1}}),
+    ("experiment", {}, {"kind": "crosslayer",
+                        "metric": {"name": "svcca", "variance_fraction": "0.9"}}),
+    ("experiment", {}, {"kind": "transfer"}),
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
     "trades-snow",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
-    "channels-negative", "n-val-zero", "experiment-threat-kind",
+    "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
+    "experiment-metric-string", "experiment-kind-transfer",
 ])
 def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     _, data_path, _, _ = pipeline
@@ -433,8 +438,7 @@ def _fuzz_exits_with_documented_code(docs, argv, trials, seed, tmp_path, capsys)
 
 
 def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, capsys):
-    _, data_path, _, run_dir = pipeline
-    threat = {"kind": "linf", "epsilon": 0.05, "steps": 1, "step_size": 0.02}
+    _, _, _, run_dir = pipeline
     bases = [
         {"kind": "crosslayer", "runs": [run_dir], "min_lag": 2,
          "metric": {"name": "svcca", "variance_fraction": 0.9}},
@@ -443,8 +447,6 @@ def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, cap
         {"kind": "divergence", "runs": [run_dir], "metric": {"name": "procrustes"}},
         {"kind": "grid", "runs": [run_dir, run_dir], "eps_values": [0.0, 0.1],
          "width_values": [1, 1], "condition": "adv"},
-        {"kind": "transfer", "runs": [run_dir], "labels": ["m"], "threat": threat,
-         "data_path": data_path},
         {"kind": "threatgrid", "runs": [run_dir, run_dir], "labels": ["a", "b"]},
     ]
     docs = [{"schema_version": 1, "experiment": base} for base in bases]

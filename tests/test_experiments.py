@@ -154,7 +154,7 @@ def test_grid_single_cell_equals_crosslayer(tiny_run, tmp_path):
     gspec = experiments.ExperimentSpec(
         kind="grid", runs=(run_dir,), eps_values=(0.05,), width_values=(1,)
     )
-    grid, monotone = experiments.run_grid(gspec, str(tmp_path / "grid"))
+    grid = experiments.run_grid(gspec, str(tmp_path / "grid"))
     assert grid.shape == (1, 1)
     assert grid[0, 0] == pytest.approx(score)
 
@@ -168,44 +168,21 @@ def test_grid_missing_cells_reported(tiny_run, tmp_path):
         width_values=(1, 1),
     )
     out = str(tmp_path / "grid")
-    grid, _ = experiments.run_grid(gspec, out)
+    grid = experiments.run_grid(gspec, out)
     assert np.isnan(grid).sum() == 1
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert len(summary["missing"]) == 1
 
 
-def test_transfer_self_equals_diagonal(tiny_run, tmp_path):
-    run_dir, data = tiny_run
-    net = nets.load_checkpoint(os.path.join(run_dir, "checkpoints", "epoch_003.rsck"))
-    twin = nets.load_checkpoint(os.path.join(run_dir, "checkpoints", "epoch_003.rsck"))
-    probe = nets.Batch(data.val.inputs[:32], data.val.labels[:32])
-    threat = threats.ThreatModel("linf", 0.05, steps=3)
-    names, acc, curves = experiments.transfer_matrix(
-        {"a": net, "b": twin}, probe, threat, seed=0
+def test_grid_rejects_two_runs_in_one_cell(tmp_path):
+    gspec = experiments.ExperimentSpec(
+        kind="grid", runs=("a", "b", "c"), eps_values=(0.1, 0.1, 0.2), width_values=(1, 1, 1)
     )
-    # identical twins: off-diagonal equals diagonal and curves are flat 1
-    assert acc[0, 0] == acc[0, 1] == acc[1, 0] == acc[1, 1]
-    assert np.abs(curves[("a", "b")] - 1.0).max() <= 1e-6
-    assert len(curves[("a", "a")]) == 22
-
-
-def test_run_transfer_outputs(tiny_run, tmp_path):
-    run_dir, data = tiny_run
-    data_path = str(tmp_path / "d.npz")
-    training.save_dataset(data, data_path)
-    spec = experiments.ExperimentSpec(
-        kind="transfer",
-        runs=(run_dir, run_dir),
-        labels=("src", "tgt"),
-        threat=threats.ThreatModel("linf", 0.05, steps=2),
-        data_path=data_path,
-    )
-    out = str(tmp_path / "tr")
-    names, acc, curves = experiments.run_transfer(spec, out)
-    assert os.path.exists(os.path.join(out, "matrix_transfer_accuracy.csv"))
-    assert os.path.exists(os.path.join(out, "curves_transfer_cka.csv"))
-    assert acc.shape == (2, 2)
+    out = str(tmp_path / "grid")
+    with pytest.raises(ConfigError):
+        experiments.run_grid(gspec, out)
+    assert not os.path.exists(out)
 
 
 def test_threatgrid_pair_means(tiny_run, tmp_path):
@@ -221,6 +198,20 @@ def test_threatgrid_pair_means(tiny_run, tmp_path):
     assert os.path.exists(os.path.join(out, "matrix_threatgrid_x_vs_y.csv"))
 
 
+def test_threatgrid_rejects_repeated_labels(tmp_path):
+    out = str(tmp_path / "tg")
+    defaulted = tuple(str(tmp_path / d / "model") for d in "abc")  # all label "model"
+    for spec in (
+        experiments.ExperimentSpec(kind="threatgrid", runs=defaulted),
+        experiments.ExperimentSpec(
+            kind="threatgrid", runs=("a", "b", "c"), labels=("x", "y", "x")
+        ),
+    ):
+        with pytest.raises(ConfigError):
+            experiments.run_threatgrid(spec, out)
+    assert not os.path.exists(out)
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
         experiments.ExperimentSpec(kind="nope")
@@ -230,8 +221,12 @@ def test_experiment_spec_validation():
         [], {}, {"runs": ["r"]}, {"kind": "crosslayer", "runs": None, "taps": [1, [2]]},
         {"kind": "crosslayer", "runs": "r"}, {"kind": "crosslayer", "min_lag": True},
         {"kind": "crosslayer", "condition": "clean"},
-        {"kind": "transfer", "threat": {"kind": "linf", "epsilon": "0.1"}},
-        {"kind": "transfer", "threat": {"kind": "linf", "epsilon": 0.1, "bogus": 1}},
+        {"kind": "transfer"},
+        {"kind": "crosslayer", "metric": {"name": "svcca", "variance_fraction": "0.9"}},
+        {"kind": "crosslayer", "metric": {"name": "linear_cka", "bogus": 1}},
+        {"kind": "crosslayer", "metric": {"name": "nope"}},
+        {"kind": "threatgrid", "runs": ["a", "b", "c"], "labels": ["x", "y"]},
+        {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y", "z"]},
     ):
         with pytest.raises(ConfigError):
             experiments.ExperimentSpec.from_json(bad)
