@@ -20,7 +20,7 @@ from rslab import (
     make_synthetic_dataset,
     train,
 )
-from rslab.activations import Condition, record_activations
+from rslab.activations import record_activations
 from rslab.nets import Batch
 from rslab.ppm import write_heatmap
 from rslab.simmetrics import MetricKind, block_structure_score, crosslayer_matrix
@@ -42,7 +42,7 @@ for method in ("standard", "advpgd"):
         epochs=15, probe_size=128,
     )
     net, _ = train(net, data, cfg)
-    aset = record_activations(net, probe, Condition.benign(), model_id=method)
+    aset = record_activations(net, probe, model_id=method)
     grid = crosslayer_matrix(aset, aset, metric)
     scores[method] = block_structure_score(grid, min_lag=5)
     path = os.path.join(OUT, f"heatmap_{method}.ppm")

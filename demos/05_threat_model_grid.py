@@ -18,7 +18,7 @@ from rslab import (
     make_synthetic_dataset,
     train,
 )
-from rslab.activations import Condition, record_activations
+from rslab.activations import record_activations
 from rslab.nets import Batch
 from rslab.simmetrics import MetricKind, crosslayer_matrix
 
@@ -38,7 +38,7 @@ for name, threat in threats.items():
     net = make_network("miniresnet", (1, 16, 16), classes=4, seed=0)
     cfg = TrainingConfig(method="advpgd", threat=threat, epochs=12, probe_size=128)
     net, trace = train(net, data, cfg)
-    sets[name] = record_activations(net, probe, Condition.benign(), model_id=name)
+    sets[name] = record_activations(net, probe, model_id=name)
     print(f"trained {name:5s}: benign={trace.entries[-1].benign_acc:.3f} "
           f"robust={trace.entries[-1].robust_acc:.3f}")
 

@@ -10,7 +10,6 @@ CKA, CCA/SVCCA, and Orthogonal Procrustes similarity.
 from .activations import (
     ActivationRecord,
     ActivationSet,
-    Condition,
     read_dump,
     record_activations,
     write_dump,

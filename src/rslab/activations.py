@@ -5,15 +5,20 @@ together with per-point class labels and a JSON manifest. The payload is
 32-bit on disk and widened to float64 on load; metric tolerances account for
 the precision loss.
 
-RSAM v1 is a `container` file (magic "RSAM"; the manifest is its trailer)
+The manifest is the one place a dump states its input condition
+(`{"kind": "benign"}`, or `{"kind": "adversarial", "threat": ..., "epsilon":
+...}`), its model, epoch and seed, and the digest of the clean probe it was
+recorded on, so a benign and an adversarial dump of one probe pair up.
+
+RSAM v2 is a `container` file (magic "RSAM"; the manifest is its trailer)
 whose body is, little-endian:
 
     per record:
-        name | u32 layer_index | u64 n | u64 p
-        u8 condition (0 benign, 1 adversarial)
-        if adversarial: u8 threat_kind (index into THREAT_KINDS) | f64 epsilon
-        f32[n*p] row-major payload
+        name | u32 layer_index | u64 n | u64 p | f32[n*p] row-major payload
     u64 label_count (= n) | i32[n] labels
+
+A file of any other version, v1 included, is rejected with VersionError and
+must be recorded again.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import container, errors
+from . import container, nets
 from .errors import (
     AlignmentError,
     FormatError,
@@ -34,52 +39,16 @@ from .errors import (
 )
 
 MAGIC = b"RSAM"
-VERSION = 1
-
-# The one registry of threat kinds. RSAM stores a threat as its index here,
-# so the order is part of the on-disk format: append, never reorder.
-THREAT_KINDS = ("linf", "l2", "jpeg", "gabor", "snow")
-
-
-@dataclass(frozen=True)
-class Condition:
-    """Input condition a dump was recorded under."""
-
-    kind: str  # "benign" | "adversarial"
-    threat: str | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("benign", "adversarial"):
-            raise ValidationError(f"unknown condition kind {self.kind!r}")
-        if self.kind == "adversarial":
-            if self.threat not in THREAT_KINDS:
-                raise ValidationError(f"unknown threat kind {self.threat!r}")
-            if self.epsilon is None or not np.isfinite(self.epsilon) or self.epsilon < 0:
-                raise ValidationError("adversarial condition needs finite epsilon >= 0")
-
-    @classmethod
-    def benign(cls) -> "Condition":
-        return cls("benign")
-
-    @classmethod
-    def adversarial(cls, threat: str, epsilon: float) -> "Condition":
-        return cls("adversarial", threat, float(epsilon))
-
-    def to_json(self) -> dict:
-        return errors.to_json(self)
+VERSION = 2
 
 
 @dataclass
 class ActivationRecord:
-    """One layer's n x p activation matrix plus identifying metadata."""
+    """One layer's n x p activation matrix."""
 
     layer_name: str
     layer_index: int
     matrix: np.ndarray  # (n, p) float64
-    condition: Condition
-    model_id: str = ""
-    epoch: int | str = "final"
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -142,23 +111,12 @@ def probe_digest(inputs: np.ndarray, labels: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-_THREAT_CODE = {k: i for i, k in enumerate(THREAT_KINDS)}
-
-
 def write_dump(aset: ActivationSet, path) -> None:
     """Serialize an ActivationSet to an RSAM file."""
     body = []
     for r in aset.records:
         body.append(container.pack_name(r.layer_name))
         body.append(struct.pack("<IQQ", r.layer_index, r.n, r.p))
-        if r.condition.kind == "benign":
-            body.append(b"\x00")
-        else:
-            body.append(
-                struct.pack(
-                    "<BBd", 1, _THREAT_CODE[r.condition.threat], r.condition.epsilon
-                )
-            )
         body.append(np.ascontiguousarray(r.matrix, dtype="<f4").tobytes())
     body.append(struct.pack("<Q", aset.n))
     body.append(np.ascontiguousarray(aset.labels, dtype="<i4").tobytes())
@@ -180,25 +138,12 @@ def read_dump(path) -> ActivationSet:
         layer_index, n, p = rd.unpack("<IQQ")
         if n == 0 or p == 0:
             raise TruncatedError(f"record {name!r} declares empty {n}x{p} matrix")
-        (cond_byte,) = rd.unpack("<B")
-        if cond_byte == 0:
-            cond = Condition.benign()
-        elif cond_byte == 1:
-            tk, eps = rd.unpack("<Bd")
-            if tk >= len(THREAT_KINDS):
-                raise ManifestError(f"unknown threat code {tk}")
-            try:
-                cond = Condition.adversarial(THREAT_KINDS[tk], eps)
-            except ValidationError as exc:
-                raise ManifestError(f"bad condition header: {exc}") from exc
-        else:
-            raise ManifestError(f"unknown condition byte {cond_byte}")
         mat = rd.array("<f4", (n, p)).astype(np.float64)
         if expected_n is None:
             expected_n = n
         elif n != expected_n:
             raise ManifestError(f"record {name!r} has n={n}, expected {expected_n}")
-        records.append((name, layer_index, mat, cond))
+        records.append((name, layer_index, mat))
     (label_count,) = rd.unpack("<Q")
     if label_count != expected_n:
         raise ManifestError(
@@ -207,17 +152,10 @@ def read_dump(path) -> ActivationSet:
     labels = rd.array("<i4", (label_count,)).astype(np.int64)
     manifest = rd.trailer()
     declared = manifest.get("layers")
-    if declared is not None and (
-        not isinstance(declared, list) or len(declared) != rd.count
-    ):
-        raise ManifestError(f"manifest layer list disagrees with {rd.count} records")
-    model_id = manifest.get("model_id", "")
-    epoch = manifest.get("epoch", "final")
+    if declared is not None and declared != [name for name, _, _ in records]:
+        raise ManifestError("manifest layer list disagrees with the record names")
     try:
-        recs = [
-            ActivationRecord(name, idx, mat, cond, model_id=model_id, epoch=epoch)
-            for (name, idx, mat, cond) in records
-        ]
+        recs = [ActivationRecord(*r) for r in records]
         return ActivationSet(recs, labels, manifest)
     except FormatError:
         raise
@@ -228,35 +166,42 @@ def read_dump(path) -> ActivationSet:
 def record_activations(
     net,
     probe,
-    condition: Condition,
+    attack=None,
     model_id: str = "",
     epoch: int | str = "final",
-    dataset: str = "",
     seed: int = 0,
 ) -> ActivationSet:
-    """Run the probe `nets.Batch` through `net` and collect one record per tap point.
+    """Record one matrix per tap point of `net` over the probe `nets.Batch`.
 
+    With no `attack` the dump holds the benign probe. Given the
+    `threats.AdversarialBatch` that `generate` returned for `probe`, it holds
+    the perturbed inputs, and the manifest names the threat. Either way the
+    manifest digests the clean probe, so the two dumps of one probe pair up.
     Spatial activations (c, h, w) flatten channel-major into the columns.
     The tapped matrices are rounded through float32, matching what a dump
     written to disk would reload, so recordings are bit-stable across a
     write/read cycle.
     """
-    from . import nets  # deferred: avoid import cycle
-
-    _, tapped = nets.forward(net, probe.inputs, taps=net.taps)
+    if attack is None:
+        inputs, condition = probe.inputs, {"kind": "benign"}
+    else:
+        inputs = attack.perturbed
+        condition = {
+            "kind": "adversarial",
+            "threat": attack.threat.kind,
+            "epsilon": float(attack.threat.epsilon),
+        }
+    _, tapped = nets.forward(net, inputs, taps=net.taps)
     names = nets.layer_names(net)
-    records = []
-    for idx in net.taps:
-        mat = tapped[idx].astype(np.float32).astype(np.float64)
-        records.append(
-            ActivationRecord(names[idx], idx, mat, condition, model_id, epoch)
-        )
+    records = [
+        ActivationRecord(names[i], i, tapped[i].astype(np.float32).astype(np.float64))
+        for i in net.taps
+    ]
     manifest = {
         "model_id": model_id,
-        "dataset": dataset,
         "seed": seed,
         "n": probe.n,
-        "condition": condition.to_json(),
+        "condition": condition,
         "epoch": epoch,
         "probe_digest": probe_digest(probe.inputs, probe.labels),
     }

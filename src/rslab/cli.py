@@ -2,7 +2,9 @@
 comparison, and full experiment families.
 
 `record` dumps a checkpoint's activations on the clean validation inputs;
-`attack` is the command that dumps activations on adversarial inputs.
+`attack` is the command that dumps activations on adversarial inputs. Both
+dumps digest the clean inputs, so a `record` and an `attack` dump of one
+checkpoint, dataset and --limit pair up in a divergence analysis.
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure,
 5 validation failure. Every file reader (datasets, RSCK checkpoints, RSAM
@@ -22,13 +24,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import errors, nets
-from .activations import THREAT_KINDS, Condition, read_dump, record_activations, write_dump
+from .activations import read_dump, record_activations, write_dump
 from .errors import ConfigError, NumericalError, RslabError
 from .experiments import ExperimentSpec, run_experiment
 from .nets import Batch
 from .ppm import write_heatmap
 from .simmetrics import METRIC_NAMES, MetricKind, crosslayer_matrix
-from .threats import ThreatModel, evaluate_accuracy, generate
+from .threats import THREAT_KINDS, ThreatModel, evaluate_accuracy, generate
 from .training import (
     DatasetSpec,
     TrainingConfig,
@@ -160,10 +162,8 @@ def cmd_attack(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     benign, robust = evaluate_accuracy(net, sub, threat, seed=args.seed)
     adv = generate(net, sub, threat, seed=args.seed)
-    cond = Condition.adversarial(threat.kind, threat.epsilon)
     aset = record_activations(
-        net, Batch(adv.perturbed, sub.labels), cond,
-        model_id=os.path.basename(args.model), seed=args.seed,
+        net, sub, adv, model_id=os.path.basename(args.model), seed=args.seed
     )
     write_dump(aset, os.path.join(args.out, "adversarial.rsam"))
     summary = {
@@ -183,9 +183,7 @@ def cmd_record(args) -> int:
     sub = data.val
     if args.limit:
         sub = Batch(sub.inputs[: args.limit], sub.labels[: args.limit])
-    aset = record_activations(
-        net, sub, Condition.benign(), model_id=os.path.basename(args.model), seed=args.seed
-    )
+    aset = record_activations(net, sub, model_id=os.path.basename(args.model), seed=args.seed)
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     write_dump(aset, args.out)

@@ -222,10 +222,10 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
         os.path.join(out_dir, "curves_evolution.csv"),
         ["epoch"] + [names[index_of[t]] for t in tap_ids] + ["val_loss", "val_loss_adv"],
         [
-            [epochs[i]]
+            [e.epoch]
             + [float(series[t][i]) for t in tap_ids]
-            + [entries[i].val_loss, entries[i].val_loss_adv or float("nan")]
-            for i in range(len(epochs))
+            + [e.val_loss, float("nan") if e.val_loss_adv is None else e.val_loss_adv]
+            for i, e in enumerate(entries)
         ],
     )
     for t in tap_ids:

@@ -417,6 +417,8 @@ _STEPS = {
 }
 
 METRIC_NAMES = tuple(_STEPS)
+# the parameters each metric takes; the other metrics take none
+_PARAMS = {"online_cka": ("batch", "passes", "seed"), "svcca": ("variance_fraction",)}
 
 
 @dataclass(frozen=True)
@@ -432,6 +434,9 @@ class MetricKind:
     def __post_init__(self):
         if self.name not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.name!r}")
+        for k in ("batch", "passes", "seed", "variance_fraction"):
+            if getattr(self, k) is not None and k not in _PARAMS.get(self.name, ()):
+                raise ConfigError(f"{self.name} takes no parameter {k!r}")
         if self.name == "online_cka":
             if self.batch is None or self.batch < 4:  # the unbiased HSIC's minimum
                 raise ValidationError("online_cka needs batch >= 4")

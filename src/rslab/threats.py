@@ -8,7 +8,8 @@ variable z and `_ascend` runs `threat.steps` of
 where `decode` maps z to pixels in [0, 1], `grad` is the loss's input
 gradient there, `pullback` carries that gradient back onto z, and `step`
 takes a projected step that keeps z inside the budget. `_ATTACKS` maps each
-kind to the function that sets its start, decode, pull-back and step:
+kind to the function that sets its start, decode, pull-back and step, and
+its keys are the one list of threat kinds, `THREAT_KINDS`:
 
     linf, l2  pixels, from a random start inside the norm ball
     jpeg      8x8 orthonormal block-DCT coefficient deltas, linf-bounded
@@ -34,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .activations import THREAT_KINDS
 from .errors import KindError, ShapeError, ValidationError
 from .nets import Batch, NetworkGraph, _label_logp_and_grad, input_grad, predict
 
@@ -341,6 +341,7 @@ def _snow(grad, x0, threat, seed):
 
 
 _ATTACKS = {"linf": _linf, "l2": _l2, "jpeg": _jpeg, "gabor": _gabor, "snow": _snow}
+THREAT_KINDS = tuple(_ATTACKS)
 
 
 def evaluate_accuracy(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import errors, nets
-from .activations import Condition, record_activations, write_dump
+from .activations import record_activations, write_dump
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .nets import Batch, NetworkGraph
 from .threats import ThreatModel, _perturb, generate
@@ -373,25 +373,15 @@ def checkpoint_probe(
     os.makedirs(out_dir, exist_ok=True)
     snap = nets.round_params_f32(net)
     tag = f"{epoch:03d}" if isinstance(epoch, int) else str(epoch)
-    benign = record_activations(
-        snap, probe, Condition.benign(), model_id=model_id, epoch=epoch, seed=seed
-    )
+    benign = record_activations(snap, probe, model_id=model_id, epoch=epoch, seed=seed)
     benign_path = os.path.join(out_dir, f"epoch_{tag}_benign.rsam")
     write_dump(benign, benign_path)
     adv_path = None
     if threat is not None:
-        adv_batch = generate(snap, probe, threat, seed=seed)
-        cond = Condition.adversarial(threat.kind, threat.epsilon)
+        attack = generate(snap, probe, threat, seed=seed)
         adv = record_activations(
-            snap,
-            Batch(adv_batch.perturbed, probe.labels),
-            cond,
-            model_id=model_id,
-            epoch=epoch,
-            seed=seed,
+            snap, probe, attack, model_id=model_id, epoch=epoch, seed=seed
         )
-        # divergence analyses pair dumps by probe; keep the benign digest
-        adv.manifest["probe_digest"] = benign.manifest["probe_digest"]
         adv_path = os.path.join(out_dir, f"epoch_{tag}_adv.rsam")
         write_dump(adv, adv_path)
     return benign_path, adv_path

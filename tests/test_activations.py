@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rslab import activations as act
-from rslab import nets, training
+from rslab import nets, threats, training
 from rslab.errors import (
     AlignmentError,
     BadMagicError,
@@ -21,15 +21,8 @@ def random_set(rng, records=3, n=6):
     recs = []
     for i in range(records):
         p = int(rng.integers(1, 9))
-        cond = (
-            act.Condition.benign()
-            if rng.random() < 0.5
-            else act.Condition.adversarial(
-                act.THREAT_KINDS[int(rng.integers(0, 5))], float(rng.uniform(0, 1))
-            )
-        )
         mat = rng.normal(size=(n, p)).astype(np.float32).astype(np.float64)
-        recs.append(act.ActivationRecord(f"layer{i:02d}", i, mat, cond, "m", i))
+        recs.append(act.ActivationRecord(f"layer{i:02d}", i, mat))
     labels = rng.integers(0, 4, n)
     return act.ActivationSet(recs, labels, {"model_id": "m", "seed": 0})
 
@@ -42,9 +35,11 @@ def sets_equal(a, b):
             return False
         if not np.array_equal(ra.matrix, rb.matrix):
             return False
-        if ra.condition != rb.condition:
-            return False
-    return True
+    # the writer sets "n" and "layers" in the manifest it is given
+    def written(s):
+        return dict(s.manifest, n=s.n, layers=s.layer_names)
+
+    return written(a) == written(b)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -79,11 +74,14 @@ def test_version_mismatch(tmp_path):
     path = tmp_path / "v.rsam"
     rng = np.random.default_rng(3)
     act.write_dump(random_set(rng), path)
-    raw = bytearray(path.read_bytes())
-    raw[4:6] = struct.pack("<H", 99)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(VersionError):
-        act.read_dump(path)
+    pristine = path.read_bytes()
+    # a v1 dump must be recorded again, not misread
+    for version in (1, 99):
+        raw = bytearray(pristine)
+        raw[4:6] = struct.pack("<H", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionError):
+            act.read_dump(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -101,7 +99,7 @@ def test_oversized_record_header(tmp_path):
     path = tmp_path / "big.rsam"
     rng = np.random.default_rng(5)
     s = act.ActivationSet(
-        [act.ActivationRecord("only", 0, rng.normal(size=(4, 2)), act.Condition.benign())],
+        [act.ActivationRecord("only", 0, rng.normal(size=(4, 2)))],
         np.zeros(4, dtype=int),
     )
     act.write_dump(s, path)
@@ -131,6 +129,18 @@ def test_manifest_record_count_disagreement(tmp_path):
     mbytes = json.dumps(manifest).encode()
     patched = raw[:offset] + struct.pack("<I", len(mbytes)) + mbytes + struct.pack("<Q", offset)
     path.write_bytes(patched)
+    with pytest.raises(ManifestError):
+        act.read_dump(path)
+
+
+def test_manifest_layer_names_disagree(tmp_path):
+    # a record renamed in the body no longer matches the manifest's layer list
+    path = tmp_path / "names.rsam"
+    rng = np.random.default_rng(14)
+    act.write_dump(random_set(rng, records=2), path)
+    raw = path.read_bytes()
+    assert raw.count(b"layer00") == 2  # the record header, then the manifest
+    path.write_bytes(raw.replace(b"layer00", b"layer99", 1))
     with pytest.raises(ManifestError):
         act.read_dump(path)
 
@@ -209,10 +219,10 @@ def test_appended_bytes_rejected(tmp_path, fmt):
             read(path)
 
 
-# sha256 of the files below as written by the first RSAM/RSCK writers; any
-# change to either on-disk format shows up here
+# sha256 of the files below as written by the RSAM v2 and the first RSCK
+# writer; any change to either on-disk format shows up here
 GOLDEN_SHA256 = {
-    "rsam": "89ca6d8698ebaa7c5166a610dc39ac7ce8ff5bbd2f2ef631e60046a3a7e7995f",
+    "rsam": "0660afd3ace702da0b622863aa9455b724b21ff1330ef30d470399b7edcabac9",
     "rsck": "fb4663677cf56f4666d31106a408ea285a74e47d1bc730292bbbdfe3e3a56c14",
 }
 
@@ -222,10 +232,8 @@ def test_golden_bytes(tmp_path):
     m1 = -np.arange(8.0).reshape(4, 2) / 4
     dump = act.ActivationSet(
         [
-            act.ActivationRecord("00_dense", 0, m0, act.Condition.benign()),
-            act.ActivationRecord(
-                "02_relu", 2, m1, act.Condition.adversarial("gabor", 0.25)
-            ),
+            act.ActivationRecord("00_dense", 0, m0),
+            act.ActivationRecord("02_relu", 2, m1),
         ],
         np.array([0, 1, 1, 3]),
         {"model_id": "golden", "seed": 7},
@@ -255,18 +263,27 @@ def test_golden_bytes(tmp_path):
 
 
 def test_condition_json():
-    # dump manifests carry this object; a benign condition has no threat keys
-    assert act.Condition.benign().to_json() == {"kind": "benign"}
-    assert act.Condition.adversarial("gabor", 0.25).to_json() == {
-        "kind": "adversarial", "threat": "gabor", "epsilon": 0.25,
-    }
+    # the manifest is the one place a dump states its condition; a benign
+    # condition has no threat keys, and both dumps digest the clean probe
+    net = nets.make_network("mlp-3", input_shape=(1, 8, 8), classes=2, seed=0)
+    rng = np.random.default_rng(15)
+    probe = nets.Batch(rng.uniform(0, 1, (4, 1, 8, 8)), rng.integers(0, 2, 4))
+    benign = act.record_activations(net, probe).manifest
+    assert benign["condition"] == {"kind": "benign"}
+    attack = threats.generate(net, probe, threats.ThreatModel("gabor", 0.25, steps=1))
+    adv = act.record_activations(net, probe, attack).manifest
+    assert adv["condition"] == {"kind": "adversarial", "threat": "gabor", "epsilon": 0.25}
+    assert adv["probe_digest"] == benign["probe_digest"]
+    assert adv["probe_digest"] == act.probe_digest(probe.inputs, probe.labels)
+    # an integer budget is written as a float
+    attack = threats.generate(net, probe, threats.ThreatModel("linf", 0, steps=1))
+    condition = act.record_activations(net, probe, attack).manifest["condition"]
+    assert type(condition["epsilon"]) is float
 
 
 def test_set_invariants():
     rng = np.random.default_rng(9)
-    rec = lambda i, n: act.ActivationRecord(
-        f"l{i}", i, rng.normal(size=(n, 2)), act.Condition.benign()
-    )
+    rec = lambda i, n: act.ActivationRecord(f"l{i}", i, rng.normal(size=(n, 2)))
     with pytest.raises(AlignmentError):
         act.ActivationSet([rec(0, 4), rec(1, 5)], np.zeros(4, dtype=int))
     with pytest.raises(ValidationError):
@@ -281,7 +298,7 @@ def test_record_activations_identity_net():
     net.params = nets.init_params(net, 0)
     rng = np.random.default_rng(10)
     probe = nets.Batch(rng.uniform(0, 1, (4, 1, 2, 2)), rng.integers(0, 2, 4))
-    s = act.record_activations(net, probe, act.Condition.benign())
+    s = act.record_activations(net, probe)
     assert len(s.records) == 1
     expected = probe.inputs.reshape(4, -1).astype(np.float32).astype(np.float64)
     assert np.array_equal(s.records[0].matrix, expected)
@@ -292,8 +309,8 @@ def test_record_activations_structure_and_determinism():
     net.taps = (1, 3, 5)
     rng = np.random.default_rng(11)
     probe = nets.Batch(rng.uniform(0, 1, (5, 1, 4, 4)), rng.integers(0, 2, 5))
-    s1 = act.record_activations(net, probe, act.Condition.benign())
-    s2 = act.record_activations(net, probe, act.Condition.benign())
+    s1 = act.record_activations(net, probe)
+    s2 = act.record_activations(net, probe)
     assert len(s1.records) == 3
     idx = [r.layer_index for r in s1.records]
     assert idx == sorted(idx) and len(set(idx)) == 3
@@ -304,7 +321,8 @@ def test_roundtrip_after_recording(tmp_path):
     net = nets.make_network("mlp-3", input_shape=(1, 4, 4), classes=2, seed=1)
     rng = np.random.default_rng(12)
     probe = nets.Batch(rng.uniform(0, 1, (6, 1, 4, 4)), rng.integers(0, 2, 6))
-    s = act.record_activations(net, probe, act.Condition.adversarial("linf", 0.1))
+    attack = threats.generate(net, probe, threats.ThreatModel("linf", 0.1, steps=2))
+    s = act.record_activations(net, probe, attack)
     path = tmp_path / "rec.rsam"
     act.write_dump(s, path)
     assert sets_equal(act.read_dump(path), s)

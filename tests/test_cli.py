@@ -109,6 +109,9 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("experiment", {}, {"kind": "crosslayer", "metric": {"name": "linear_cka", "bogus": 1}}),
     ("experiment", {}, {"kind": "crosslayer",
                         "metric": {"name": "svcca", "variance_fraction": "0.9"}}),
+    # valid but for the metric, so a missing run would exit 3 if it were accepted
+    ("experiment", {}, {"kind": "crosslayer", "runs": ["no_such_run"], "metric": {
+        "name": "linear_cka", "batch": 5, "variance_fraction": 0.3}}),
     ("experiment", {}, {"kind": "transfer"}),
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
@@ -116,7 +119,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     "trades-snow",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
-    "experiment-metric-string", "experiment-kind-transfer",
+    "experiment-metric-string", "experiment-metric-foreign-params", "experiment-kind-transfer",
 ])
 def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     _, data_path, _, _ = pipeline
@@ -270,6 +273,29 @@ def test_record_and_compare_self_diagonal(pipeline, tmp_path):
     assert summary["mean_diagonal"] == pytest.approx(1.0, abs=1e-9)
     assert os.path.exists(os.path.join(out, "matrix_compare.csv"))
     assert os.path.exists(os.path.join(out, "heatmap_compare.ppm"))
+
+
+def test_record_and_attack_dumps_pair(pipeline, tmp_path):
+    # both dumps digest the clean probe, so a divergence analysis pairs them
+    from rslab.activations import read_dump
+    from rslab.experiments import divergence_curve
+    from rslab.simmetrics import MetricKind
+
+    _, data_path, _, run_dir = pipeline
+    model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
+    common = ["--model", model, "--data", data_path, "--limit", "24"]
+    benign = str(tmp_path / "b.rsam")
+    assert run_cli("record", *common, "--out", benign) == 0
+    out = str(tmp_path / "atk")
+    assert run_cli(
+        "attack", *common, "--threat", "linf", "--eps", "0.05", "--steps", "3", "--out", out
+    ) == 0
+    b = read_dump(benign)
+    a = read_dump(os.path.join(out, "adversarial.rsam"))
+    assert a.manifest["probe_digest"] == b.manifest["probe_digest"]
+    assert a.manifest["condition"] == {"kind": "adversarial", "threat": "linf", "epsilon": 0.05}
+    curve = divergence_curve(b, a, MetricKind.linear_cka())
+    assert curve.shape == (len(b.records),) and np.all(curve <= 1.0 + 1e-9)
 
 
 def test_compare_online_metric(pipeline, tmp_path):

@@ -127,6 +127,28 @@ def test_evolution_series_and_heatmaps(tiny_run, tmp_path):
     assert summary["final_epoch"] == 3
 
 
+def test_evolution_keeps_a_zero_adversarial_loss(tiny_run, tmp_path):
+    # 0 is a recorded loss and is written as 0; only a missing one is NaN
+    import csv
+    import shutil
+
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(tiny_run[0], run_dir)
+    path = os.path.join(run_dir, "trace.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0]["val_loss_adv"], rows[1]["val_loss_adv"] = "0", ""
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+    out = str(tmp_path / "evo")
+    experiments.run_evolution(experiments.ExperimentSpec(kind="evolution", runs=(run_dir,)), out)
+    with open(os.path.join(out, "curves_evolution.csv"), newline="") as fh:
+        column = [row["val_loss_adv"] for row in csv.DictReader(fh)]
+    assert column[:2] == ["0", "nan"] and float(column[2]) > 0
+
+
 def test_evolution_prepares_each_layer_once(tiny_run, tmp_path, monkeypatch):
     run_dir, _ = tiny_run
     taps = (6, 18)
@@ -224,6 +246,12 @@ def test_experiment_spec_validation():
         {"kind": "transfer"},
         {"kind": "crosslayer", "metric": {"name": "svcca", "variance_fraction": "0.9"}},
         {"kind": "crosslayer", "metric": {"name": "linear_cka", "bogus": 1}},
+        # parameters of another metric
+        {"kind": "crosslayer",
+         "metric": {"name": "linear_cka", "batch": 5, "variance_fraction": 0.3}},
+        {"kind": "crosslayer", "metric": {"name": "svcca", "variance_fraction": 0.9, "seed": 1}},
+        {"kind": "crosslayer", "metric": {
+            "name": "online_cka", "batch": 8, "passes": 1, "variance_fraction": 0.9}},
         {"kind": "crosslayer", "metric": {"name": "nope"}},
         {"kind": "threatgrid", "runs": ["a", "b", "c"], "labels": ["x", "y"]},
         {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y", "z"]},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rslab import simmetrics as sm
-from rslab.activations import ActivationRecord, ActivationSet, Condition
+from rslab.activations import ActivationRecord, ActivationSet
 from rslab.errors import (
     AlignmentError,
     ConfigError,
@@ -431,10 +431,7 @@ def test_orthogonal_invariance_full_suite():
 
 def make_set(rng, layers=3, n=8, model="m"):
     recs = [
-        ActivationRecord(
-            f"l{i:02d}", i, rng.normal(size=(n, int(rng.integers(2, 5)))),
-            Condition.benign(), model,
-        )
+        ActivationRecord(f"l{i:02d}", i, rng.normal(size=(n, int(rng.integers(2, 5)))))
         for i in range(layers)
     ]
     return ActivationSet(recs, rng.integers(0, 2, n), {"model_id": model})
@@ -443,6 +440,8 @@ def make_set(rng, layers=3, n=8, model="m"):
 def test_metric_kind_validation():
     with pytest.raises(ConfigError):
         sm.MetricKind("nope")
+    with pytest.raises(ConfigError):
+        sm.MetricKind("linear_cka", batch=5)
     with pytest.raises(ValidationError):
         sm.MetricKind.online_cka(batch=1)
     with pytest.raises(ValidationError):
@@ -512,10 +511,7 @@ def _set_with_constant_layer(rng, z, widths, model):
     mats = [
         z @ rng.normal(size=(2, p)) + 0.3 * rng.normal(size=(n, p)) for p in widths
     ] + [np.ones((n, 4))]
-    recs = [
-        ActivationRecord(f"l{i:02d}", i, m, Condition.benign(), model)
-        for i, m in enumerate(mats)
-    ]
+    recs = [ActivationRecord(f"l{i:02d}", i, m) for i, m in enumerate(mats)]
     return ActivationSet(recs, rng.integers(0, 2, n), {"model_id": model})
 
 
@@ -639,7 +635,7 @@ def test_similarity_matrix_save_load(tmp_path):
     a = make_set(rng)
     # the same set with one constant layer, which linear CKA flags degenerate
     recs = list(a.records)
-    recs[1] = ActivationRecord("flat", 1, np.ones((a.n, 3)), Condition.benign(), "m")
+    recs[1] = ActivationRecord("flat", 1, np.ones((a.n, 3)))
     flat = ActivationSet(recs, a.labels, a.manifest)
     for s in (a, flat):
         grid = sm.crosslayer_matrix(s, s, sm.MetricKind.linear_cka())

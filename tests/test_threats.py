@@ -3,7 +3,6 @@ import pytest
 
 import oracles
 from rslab import nets, threats, training
-from rslab.activations import THREAT_KINDS
 from rslab.errors import KindError, ValidationError
 
 
@@ -316,10 +315,6 @@ def test_eps_zero_robust_equals_benign(trained):
 
 # ---------------------------------------------------------------------------
 # kind table and validation
-
-
-def test_attack_table_covers_every_kind():
-    assert set(threats._ATTACKS) == set(THREAT_KINDS)
 
 
 def test_threat_validation():
