@@ -28,7 +28,6 @@ from .activations import read_dump, record_activations, write_dump
 from .errors import ConfigError, NumericalError, RslabError
 from .experiments import ExperimentSpec, run_experiment
 from .nets import Batch
-from .ppm import write_heatmap
 from .simmetrics import METRIC_NAMES, MetricKind, crosslayer_matrix
 from .threats import THREAT_KINDS, ThreatModel, evaluate_accuracy, generate
 from .training import (
@@ -203,10 +202,7 @@ def cmd_compare(args) -> int:
         metric = MetricKind(args.metric)
     sm = crosslayer_matrix(a, b, metric)
     os.makedirs(args.out, exist_ok=True)
-    sm.save(os.path.join(args.out, "matrix_compare"))
-    clamped = write_heatmap(
-        os.path.join(args.out, "heatmap_compare.ppm"), sm.values, *metric.value_range
-    )
+    clamped = sm.save(args.out, "compare")
     diag = [float(sm.values[i, i]) for i in range(min(*sm.values.shape))]
     summary = {
         "metric": metric.to_json(),

@@ -10,7 +10,8 @@ Layout (little-endian):
 Names inside records are u16-length-prefixed utf-8, and array payloads are
 raw little-endian items. The footer must point at the trailer and end the
 file. `Reader` raises a FormatError subclass for every violation, so a
-corrupt file never surfaces as a decoding or struct error.
+corrupt file never surfaces as a decoding or struct error; a float payload
+that holds NaN or infinity is one.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagicError, ManifestError, TruncatedError, VersionError
+from .errors import BadMagicError, FormatError, ManifestError, TruncatedError, VersionError
 
 
 def pack_name(name: str) -> bytes:
@@ -83,6 +84,9 @@ class Reader:
         nbytes = count * np.dtype(dtype).itemsize
         self._need(nbytes)
         out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.pos)
+        # checked before the caller's cast, which warns on a signalling NaN
+        if out.dtype.kind == "f" and not np.isfinite(out).all():
+            raise FormatError(f"{self.kind}: payload at offset {self.pos} holds NaN or infinity")
         self.pos += nbytes
         return out.reshape(shape)
 

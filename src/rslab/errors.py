@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package, and the JSON codec and writer.
+"""Exception hierarchy shared across the package, the JSON codec, and the
+JSON and CSV artifact writers.
 
 The CLI maps these onto exit codes: ConfigError -> 2, OSError -> 3,
 NumericalError -> 4, every other RslabError -> 5. Every file reader raises a
 FormatError subclass on malformed input, so a corrupt dataset, checkpoint or
 dump exits 5; a missing or unreadable file stays an OSError.
 """
+import csv
 import dataclasses
 import json
 import types
@@ -127,6 +129,14 @@ def write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: the header row, then `rows`, a float cell as %.12g."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(v, ".12g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def read_json(path, error_cls):

@@ -1,15 +1,15 @@
 """Experiment families: cross-layer structure, budget/width grids, benign
 vs adversarial divergence, evolution over epochs, threat grids.
 
-Each runner consumes completed run directories (or in-memory nets), writes
-matrix_*.csv / curves_*.csv / summary.json / heatmap_*.ppm into its output
-directory, and returns its summary scalars so callers can assert numbers
-instead of reading images. Re-running on unchanged inputs is byte-identical.
+Each runner consumes completed run directories, writes matrix_*.csv /
+curves_*.csv / summary.json / heatmap_*.ppm into its output directory, and
+returns its summary scalars so callers can assert numbers instead of reading
+images. Re-running on unchanged inputs is byte-identical.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,8 +17,18 @@ from . import errors
 from .activations import read_dump
 from .errors import ConfigError, ProbeMismatchError, ValidationError
 from .ppm import write_heatmap
-from .simmetrics import MetricKind, block_structure_score, crosslayer_matrix
+from .simmetrics import MetricKind, block_structure_score, crosslayer_matrix, score_grid
 from .training import load_run
+
+# the fields each kind reads besides `runs` and `metric`; every other field
+# must keep its default
+_KIND_FIELDS = {
+    "crosslayer": ("condition", "min_lag"),
+    "grid": ("condition", "min_lag", "eps_values", "width_values"),
+    "divergence": (),
+    "evolution": ("taps",),
+    "threatgrid": ("labels",),
+}
 
 
 @dataclass(frozen=True)
@@ -40,22 +50,16 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.condition not in ("benign", "adv"):
             raise ConfigError(f"unknown condition {self.condition!r}")
+        for f in fields(self):
+            own = f.name in ("kind", "runs", "metric") + _KIND_FIELDS[self.kind]
+            if not own and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} takes no field {f.name!r}")
         if self.labels and len(self.labels) != len(self.runs):
             raise ConfigError(f"{len(self.labels)} labels for {len(self.runs)} runs")
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentSpec":
         return errors.from_json(cls, d, "experiment")
-
-
-def _write_curve(path: str, header: list, rows: list) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
 def _final_probe(run_dir: str, condition: str):
@@ -86,10 +90,7 @@ def run_crosslayer(spec: ExperimentSpec, out_dir: str):
     lag = spec.min_lag if spec.min_lag is not None else _default_lag(aset)
     score = block_structure_score(sm, lag)
     os.makedirs(out_dir, exist_ok=True)
-    sm.save(os.path.join(out_dir, "matrix_crosslayer"))
-    warn = write_heatmap(
-        os.path.join(out_dir, "heatmap_crosslayer.ppm"), sm.values, *sm.metric.value_range
-    )
+    warn = sm.save(out_dir, "crosslayer")
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "crosslayer",
         "long_range_score": score,
@@ -125,10 +126,10 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
         lag = spec.min_lag if spec.min_lag is not None else _default_lag(aset)
         grid[i, j] = block_structure_score(sm, lag)
     os.makedirs(out_dir, exist_ok=True)
-    _write_curve(
+    errors.write_csv(
         os.path.join(out_dir, "matrix_grid.csv"),
         ["epsilon\\width"] + [str(w) for w in width_axis],
-        [[str(e)] + [f"{v:.12g}" for v in grid[i]] for i, e in enumerate(eps_axis)],
+        [[str(e), *grid[i]] for i, e in enumerate(eps_axis)],
     )
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "grid",
@@ -171,7 +172,7 @@ def run_divergence(spec: ExperimentSpec, out_dir: str):
         "layers": benign.layer_names,
     }
     os.makedirs(out_dir, exist_ok=True)
-    _write_curve(
+    errors.write_csv(
         os.path.join(out_dir, "curves_divergence.csv"),
         ["layer", "similarity"],
         [[name, float(v)] for name, v in zip(benign.layer_names, curve)],
@@ -211,14 +212,9 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
         layers = [spec.metric.prepare(s.records[k].matrix) for s in sets]
         final = layers[-1]
         series[t] = np.array([spec.metric.evaluate(m, final) for m in layers])
-        h = np.zeros((len(layers), len(layers)))
-        for i in range(len(layers)):
-            h[i, i] = spec.metric.evaluate(layers[i], layers[i])
-            for j in range(i + 1, len(layers)):
-                h[i, j] = h[j, i] = spec.metric.evaluate(layers[i], layers[j])
-        heatmaps[t] = h
+        heatmaps[t] = score_grid(spec.metric, layers, layers)
     os.makedirs(out_dir, exist_ok=True)
-    _write_curve(
+    errors.write_csv(
         os.path.join(out_dir, "curves_evolution.csv"),
         ["epoch"] + [names[index_of[t]] for t in tap_ids] + ["val_loss", "val_loss_adv"],
         [
@@ -269,11 +265,7 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
             if j < i:
                 continue
             sm = crosslayer_matrix(sets[a], sets[a] if a == b else sets[b], spec.metric)
-            sm.save(os.path.join(out_dir, f"matrix_threatgrid_{a}_vs_{b}"))
-            write_heatmap(
-                os.path.join(out_dir, f"heatmap_threatgrid_{a}_vs_{b}.ppm"),
-                sm.values, *sm.metric.value_range,
-            )
+            sm.save(out_dir, f"threatgrid_{a}_vs_{b}")
             means[f"{a}|{b}"] = float(sm.values.mean())
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "threatgrid",

@@ -11,10 +11,11 @@ cross-entropy and parameter gradients in one pass over the whole batch; it
 alone keeps the im2col windows (`cols`) that weight gradients need.
 `forward` (and `predict`) and `input_grad` take no parameter gradients and
 run the batch through the net one block of images at a time, sized so a
-block's layer outputs fit in `_BLOCK_BYTES`. `forward` keeps no backward
-state, not even ReLU masks. `input_grad` is the gradient of every attack
-step and of TRADES' KL ascent: the caller's `dlogits_of` returns each
-block's logits cotangent, already scaled by the whole batch.
+block's layer outputs fit in `_BLOCK_BYTES`. A pass keeps one record, its
+layer outputs; `backward` reads each layer's input and ReLU mask there.
+`input_grad` is the gradient of every attack step and of TRADES' KL ascent:
+the caller's `dlogits_of` returns each block's logits cotangent, already
+scaled by the whole batch.
 Every layer computes an image's outputs from that image's rows alone, so a
 block gives the bytes one pass over the whole batch gives, as long as BLAS
 sums each row of a product in the same order whatever the row count.
@@ -221,8 +222,9 @@ class Batch:
             raise ShapeError(f"batch inputs must be (n,c,h,w), got {self.inputs.shape}")
         if len(self.labels) != self.inputs.shape[0]:
             raise ShapeError("labels length must match batch size")
-        if self.inputs.size and (self.inputs.min() < -1e-9 or self.inputs.max() > 1 + 1e-9):
-            raise ValidationError("batch inputs must lie in [0,1]")
+        # NaN compares false, so only an in-range test rejects it
+        if self.inputs.size and not (self.inputs.min() >= -1e-9 and self.inputs.max() <= 1 + 1e-9):
+            raise ValidationError("batch inputs must be finite and lie in [0,1]")
 
     @property
     def n(self) -> int:
@@ -307,15 +309,14 @@ def _dilate(g: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray, keep_cols: bool):
+def _conv_forward(spec: Conv2d, p: dict, x: np.ndarray):
     k = spec.kernel
     cols, oh, ow = _im2col(x, k, spec.stride, spec.pad)
     # weight matrix in window order: [(row*k + col)*c_in + ci, c_out]
     wm = p["w"].transpose(2, 3, 1, 0).reshape(k * k * spec.in_channels, -1)
     out = cols @ wm
     out += p["b"]
-    out = out.reshape(x.shape[0], oh, ow, spec.out_channels)
-    return out, (cols if keep_cols else None, x.shape)
+    return out.reshape(x.shape[0], oh, ow, spec.out_channels), cols
 
 
 def _conv_param_grads(spec: Conv2d, cols, g: np.ndarray) -> dict:
@@ -388,39 +389,35 @@ def _avg_pool(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _run_forward(net: NetworkGraph, x: np.ndarray, want_cache: bool, keep_cols: bool = False):
+def _run_forward(net: NetworkGraph, x: np.ndarray, keep_cols: bool = False):
+    """The runtime input, every layer's output, and conv windows by layer (or None)."""
     if x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape[1:]} does not match net input {net.input_shape}"
         )
     if net.params is None:
         raise ValidationError("network has no parameters; call init_params first")
+    x = cur = _to_nhwc(x) if x.ndim == 4 else x
     outs = []
-    caches = [] if want_cache else None
-    cur = _to_nhwc(x) if x.ndim == 4 else x
-    for spec, p in zip(net.layers, net.params):
-        cache = None
+    cols = {} if keep_cols else None
+    for i, (spec, p) in enumerate(zip(net.layers, net.params)):
         if isinstance(spec, Dense):
-            cache = cur
             cur = cur @ p["w"]
             cur += p["b"]
         elif isinstance(spec, Conv2d):
-            cur, cache = _conv_forward(spec, p, cur, keep_cols)
+            cur, windows = _conv_forward(spec, p, cur)
+            if keep_cols:
+                cols[i] = windows
         elif isinstance(spec, Relu):
-            if want_cache:
-                cache = cur > 0
             cur = np.maximum(cur, 0.0)
         elif isinstance(spec, AvgPool):
             cur = _avg_pool(cur, spec.kernel)
         elif isinstance(spec, Flatten):
-            cache = cur.shape
             cur = _flatten_act(cur)
         elif isinstance(spec, ResidualAdd):
             cur = cur + outs[spec.source]
         outs.append(cur)
-        if want_cache:
-            caches.append(cache)
-    return outs, caches
+    return x, outs, cols
 
 
 def forward(net: NetworkGraph, inputs: np.ndarray, taps=None):
@@ -434,7 +431,7 @@ def forward(net: NetworkGraph, inputs: np.ndarray, taps=None):
     final = np.empty((n,) + net.output_shapes[-1])
     tapped = {t: np.empty((n, int(np.prod(net.output_shapes[t])))) for t in taps or ()}
     for rows in _blocks(net, n):
-        outs, _ = _run_forward(net, x[rows], False)
+        _, outs, _ = _run_forward(net, x[rows])
         for t, dst in tapped.items():
             dst[rows] = _flatten_act(outs[t])
         last = outs[-1]
@@ -445,12 +442,12 @@ def forward(net: NetworkGraph, inputs: np.ndarray, taps=None):
 def forward_cache(net: NetworkGraph, inputs: np.ndarray, need_param_grads: bool = True):
     """Forward pass retaining everything `backward` needs.
 
-    The conv windows that weight gradients need are kept only when
+    The state is (runtime input, every layer's output, conv windows by
+    layer); the windows that weight gradients need are kept only when
     `need_param_grads` is set.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    outs, caches = _run_forward(net, x, True, need_param_grads)
-    return outs[-1], (outs, caches)
+    state = _run_forward(net, np.asarray(inputs, dtype=np.float64), need_param_grads)
+    return state[1][-1], state
 
 
 def backward(net: NetworkGraph, fw_state, dlogits: np.ndarray, need_param_grads: bool = True):
@@ -460,7 +457,7 @@ def backward(net: NetworkGraph, fw_state, dlogits: np.ndarray, need_param_grads:
     else the input gradient. Residual connections accumulate into their
     source layer.
     """
-    _, caches = fw_state
+    x, outs, cols = fw_state
     n_layers = len(net.layers)
     gout = {n_layers - 1: dlogits}  # index -1 collects the input gradient
     param_grads = [{} for _ in net.layers]
@@ -472,29 +469,29 @@ def backward(net: NetworkGraph, fw_state, dlogits: np.ndarray, need_param_grads:
         g = gout.pop(i)
         spec = net.layers[i]
         p = net.params[i]
-        cache = caches[i]
+        inp = outs[i - 1] if i else x
         if need_param_grads and isinstance(spec, Dense):
-            param_grads[i] = {"w": cache.T @ g, "b": g.sum(axis=0)}
+            param_grads[i] = {"w": inp.T @ g, "b": g.sum(axis=0)}
         elif need_param_grads and isinstance(spec, Conv2d):
-            param_grads[i] = _conv_param_grads(spec, cache[0], g)
+            param_grads[i] = _conv_param_grads(spec, None if cols is None else cols[i], g)
         if i == 0 and need_param_grads:
             break  # nothing asks for the input gradient
         if isinstance(spec, Dense):
             send(i - 1, g @ p["w"].T)
         elif isinstance(spec, Conv2d):
-            send(i - 1, _conv_input_grad(spec, p, cache[1], g))
+            send(i - 1, _conv_input_grad(spec, p, inp.shape, g))
         elif isinstance(spec, Relu):
-            send(i - 1, g * cache)
+            send(i - 1, g * (outs[i] > 0))
         elif isinstance(spec, AvgPool):
             k = spec.kernel
             send(i - 1, np.repeat(np.repeat(g / (k * k), k, axis=1), k, axis=2))
         elif isinstance(spec, Flatten):
-            if len(cache) == 4:
-                n, h, w, c = cache
+            if inp.ndim == 4:
+                n, h, w, c = inp.shape
                 # invert the channel-major flatten back to runtime NHWC
                 send(i - 1, g.reshape(n, c, h, w).transpose(0, 2, 3, 1))
             else:
-                send(i - 1, g.reshape(cache))
+                send(i - 1, g.reshape(inp.shape))
         elif isinstance(spec, ResidualAdd):
             send(i - 1, g)
             send(spec.source, g)

@@ -75,27 +75,17 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
 
     Keeps the smallest number of right singular directions whose cumulative
     squared singular values reach `variance_fraction` of the total, and
-    returns the n x k projection U_k S_k of m onto them. The caller is
-    expected to pass a column-centered matrix.
-
-    Both routes take one SVD no larger than min(n, p) on a side, chosen from
-    the shape: a wide or square m (p >= n) is factored through the n x n
-    `gram_factor(m)` (m itself when square), whose U and S are those of m,
-    and the result is U_k S_k; a tall m (p < n) through the p x p R of
-    m = Q R, whose S and V are those of m, and the result is m V_k, which
-    equals U_k S_k. Neither route changes a value beyond rounding.
+    returns the n x k projection U_k S_k of m onto them, from one thin SVD
+    of m. The caller is expected to pass a column-centered matrix; SVCCA
+    passes the small square factor its `prepare` made of each layer.
     """
     m = as_matrix(m)
     if not 0.0 < variance_fraction <= 1.0:
         raise ValidationError(
             f"variance_fraction must be in (0, 1], got {variance_fraction}"
         )
-    tall = m.shape[1] < m.shape[0]
     try:
-        if tall:
-            _, s, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
-        else:
-            u, s, _ = np.linalg.svd(gram_factor(m), full_matrices=False)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     energy = s * s
@@ -106,4 +96,4 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     # tiny slack so variance_fraction=1.0 is reachable despite roundoff
     k = int(np.searchsorted(cum, variance_fraction * total - 1e-12 * total)) + 1
     k = min(k, len(s))
-    return m @ vt[:k].T if tall else u[:, :k] * s[:k]
+    return u[:, :k] * s[:k]

@@ -3,15 +3,18 @@
 All metrics take n x p activation matrices over the same n probe points,
 center columns internally, and are invariant to orthogonal transformations
 of the columns; the CKA family is additionally invariant to isotropic
-scaling. Degenerate inputs (all-zero after centering) score 0 instead of
-NaN so downstream grids stay renderable; `crosslayer_matrix` flags their
-cells in `SimilarityMatrix.degenerate`.
+scaling. Degenerate is a property of a layer: `prepare` flags one that is
+all zero after centering (for SVCCA, whose square factor is all zero;
+online CKA flags none), and it scores 0 against anything instead of NaN so
+grids stay renderable.
 
 Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
 once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
 prepares each distinct layer once per grid; `MetricKind.evaluate` and the
 single-pair functions prepare raw matrices themselves, so every caller runs
-the same code. What each metric prepares, and what its pair step does:
+the same code. `score_grid` is the one cell loop over prepared layers, and
+`SimilarityMatrix.save` writes a grid's CSV, JSON sidecar and heatmap.
+What each metric prepares, and what its pair step does:
 
 - linear CKA: the centered matrix, plus the n x n Gram and its norm for a
   wide layer (p > n) or |X^T X|_F for a tall one. Two wide layers pair
@@ -39,7 +42,7 @@ arithmetic and change no value beyond rounding.
 """
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,7 @@ from .numerics import (
     nuclear_norm,
     svd_truncate,
 )
+from .ppm import write_heatmap
 
 
 def linear_cka(x, y):
@@ -153,25 +157,19 @@ def class_cka_decomposition(x, y, labels):
     Components are raw signed sums over the centered Grams; either may be
     negative, and normalization is left to the caller.
     """
-    x = _centered(as_matrix(x, "x"))
-    y = _centered(as_matrix(y, "y"))
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
+    kind = MetricKind.linear_cka()
+    a, b = kind.prepare(x, "x"), kind.prepare(y, "y")
+    if a.n != b.n:
+        raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
     labels = np.asarray(labels)
-    if labels.ndim != 1 or len(labels) != x.shape[0]:
-        raise AlignmentError(
-            f"labels length {labels.shape} does not match {x.shape[0]} rows"
-        )
-    k = x @ x.T
-    l = y @ y.T
-    d = float(np.linalg.norm(x.T @ x)) * float(np.linalg.norm(y.T @ y))
-    if d == 0.0:
+    if labels.ndim != 1 or len(labels) != a.n:
+        raise AlignmentError(f"labels length {labels.shape} does not match {a.n} rows")
+    if a.degenerate or b.degenerate:
         return 0.0, 0.0
-    prod = k * l
+    d = a.norm * b.norm
+    prod = (a.matrix @ a.matrix.T) * (b.matrix @ b.matrix.T)
     same = labels[:, None] == labels[None, :]
-    intra = float(prod[same].sum()) / d
-    inter = float(prod[~same].sum()) / d
-    return intra, inter
+    return float(prod[same].sum()) / d, float(prod[~same].sum()) / d
 
 
 def _orthonormal_basis(m: np.ndarray) -> np.ndarray:
@@ -263,12 +261,12 @@ def _prepare_linear_cka(kind, x):
 
 def _pair_linear_cka(kind, a, b):
     if a.degenerate or b.degenerate:
-        return 0.0, True
+        return 0.0
     if a.gram is not None and b.gram is not None:
         num = float((a.gram * b.gram).sum())  # sum(K * L) = |Y^T X|_F^2
     else:
         num = float(np.linalg.norm(b.matrix.T @ a.matrix) ** 2)
-    return min(max(num / (a.norm * b.norm), 0.0), 1.0), False
+    return min(max(num / (a.norm * b.norm), 0.0), 1.0)
 
 
 def _online_batches(n: int, kind):
@@ -302,9 +300,9 @@ def _prepare_online_cka(kind, x):
 
 def _pair_online_cka(kind, a, b):
     # an unbiased self-HSIC can be <= 0 for a non-constant layer too, so
-    # this 0 carries no degenerate flag
+    # `prepare` flags no layer for this 0
     if a.norm <= 0.0 or b.norm <= 0.0:
-        return 0.0, False
+        return 0.0
     if b is a:
         num = a.norm  # the cross sums would repeat the self sums exactly
     else:
@@ -313,7 +311,7 @@ def _pair_online_cka(kind, a, b):
         num = 0.0
         for idx in _online_batches(a.n, kind):
             num += _hsic_unbiased(a.matrix[idx] - a.mean, b.matrix[idx] - b.mean)
-    return num / float(np.sqrt(a.norm * b.norm)), False
+    return num / float(np.sqrt(a.norm * b.norm))
 
 
 def _canonical_mean(c: np.ndarray) -> float:
@@ -343,29 +341,27 @@ def _prepare_mean_cca(kind, x):
 
 def _pair_mean_cca(kind, a, b):
     if a.degenerate or b.degenerate:
-        return 0.0, True
-    return _canonical_mean(a.matrix.T @ b.matrix), False
+        return 0.0
+    return _canonical_mean(a.matrix.T @ b.matrix)
 
 
 def _prepare_svcca(kind, x):
     # factor once, but truncate in the pair step: the traced self-check in
     # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
     x = center_columns(x)
-    if x.shape[1] < x.shape[0]:
-        # x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
-        return PreparedLayer(kind, np.linalg.qr(x, mode="r").T, centered=x)
-    return PreparedLayer(kind, gram_factor(x))
+    tall = x.shape[1] < x.shape[0]
+    # a tall x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
+    f = np.linalg.qr(x, mode="r").T if tall else gram_factor(x)
+    return PreparedLayer(kind, f, not f.any(), centered=x if tall else None)
 
 
 def _principal_weights(layer, t: np.ndarray):
-    """W with U_k = A W, or None when the truncation t is all zero.
+    """W with U_k = A W.
 
     t is U_k S_k of a wide or square layer, where A is the identity, and
     V_k S_k of a tall one, where A is the centered layer: X V_k = U_k S_k.
     """
     s2 = (t * t).sum(axis=0)
-    if s2[0] == 0.0:
-        return None
     return t / np.sqrt(s2) if layer.centered is None else t / s2
 
 
@@ -374,18 +370,19 @@ def _in_rows(layer, w: np.ndarray) -> np.ndarray:
 
 
 def _pair_svcca(kind, a, b):
-    # both factors are square, so each truncation is one small SVD
+    # both factors are square, so each truncation is one small SVD; a
+    # degenerate layer is truncated too: the traced self-check pins two per cell
     xt = svd_truncate(a.matrix, kind.variance_fraction)
     yt = svd_truncate(b.matrix, kind.variance_fraction)
     _require_rows_over_cols(a.n, xt.shape[1], yt.shape[1])
+    if a.degenerate or b.degenerate:
+        return 0.0
     wx = _principal_weights(a, xt)
     wy = _principal_weights(b, yt)
-    if wx is None or wy is None:
-        return 0.0, True
     if a.centered is not None and b.centered is not None:
         # two tall layers: one p x p product over the n rows
-        return _canonical_mean(wx.T @ (a.centered.T @ b.centered) @ wy), False
-    return _canonical_mean(_in_rows(a, wx).T @ _in_rows(b, wy)), False
+        return _canonical_mean(wx.T @ (a.centered.T @ b.centered) @ wy)
+    return _canonical_mean(_in_rows(a, wx).T @ _in_rows(b, wy))
 
 
 def _prepare_procrustes(kind, x):
@@ -398,13 +395,13 @@ def _prepare_procrustes(kind, x):
 
 def _pair_procrustes(kind, a, b):
     if a.degenerate or b.degenerate:
-        return 0.0, True
+        return 0.0
     x, y = a.matrix, b.matrix
     if x.shape[1] < y.shape[1]:
         x = np.pad(x, ((0, 0), (0, y.shape[1] - x.shape[1])))
     elif y.shape[1] < x.shape[1]:
         y = np.pad(y, ((0, 0), (0, x.shape[1] - y.shape[1])))
-    return min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0), False
+    return min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0)
 
 
 # per metric: (prepare one layer, score a pair of prepared layers)
@@ -477,7 +474,7 @@ class MetricKind:
         """Validate one n x p layer and do this metric's per-layer work once."""
         return _STEPS[self.name][0](self, as_matrix(x, name))
 
-    def evaluate(self, x, y, with_flag: bool = False):
+    def evaluate(self, x, y) -> float:
         """Score one pair of layers, given raw or as `prepare` returned them."""
         a = x if isinstance(x, PreparedLayer) else self.prepare(x, "x")
         b = y if isinstance(y, PreparedLayer) else self.prepare(y, "y")
@@ -486,8 +483,7 @@ class MetricKind:
         if a.n != b.n:
             error = AlignmentError if self.name == "online_cka" else ShapeError
             raise error(f"row counts differ: {a.n} vs {b.n}")
-        val, flag = _STEPS[self.name][1](self, a, b)
-        return (val, flag) if with_flag else val
+        return _STEPS[self.name][1](self, a, b)
 
     def to_json(self) -> dict:
         return errors.to_json(self)
@@ -502,7 +498,7 @@ class SimilarityMatrix:
     """A layerA x layerB grid of metric scores with its range contract.
 
     `degenerate` is always set: a boolean grid of the cells whose pair had a
-    degenerate layer, as `crosslayer_matrix` builds it.
+    degenerate layer, the outer OR of the layers' flags.
     """
 
     row_names: list
@@ -524,13 +520,12 @@ class SimilarityMatrix:
                 f"values outside metric range [{lo}, {hi}] beyond 1e-6"
             )
 
-    def save(self, base_path: str) -> None:
-        """Write <base>.csv (with headers) and a <base>.json sidecar."""
-        with open(base_path + ".csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([""] + list(self.col_names))
-            for name, row in zip(self.row_names, self.values):
-                w.writerow([name] + [f"{v:.12g}" for v in row])
+    def save(self, out_dir: str, label: str) -> bool:
+        """Write matrix_<label>.csv (with headers), its .json sidecar and
+        heatmap_<label>.ppm into out_dir; returns whether the heatmap clamped."""
+        base = os.path.join(out_dir, f"matrix_{label}")
+        rows = [[name, *row] for name, row in zip(self.row_names, self.values)]
+        errors.write_csv(base + ".csv", ["", *self.col_names], rows)
         sidecar = {
             "metric": self.metric.to_json(),
             "range": list(self.metric.value_range),
@@ -539,33 +534,38 @@ class SimilarityMatrix:
             "conditions": self.meta.get("conditions"),
             "degenerate": np.argwhere(self.degenerate).tolist(),
         }
-        errors.write_json(base_path + ".json", sidecar)
+        errors.write_json(base + ".json", sidecar)
+        heatmap = os.path.join(out_dir, f"heatmap_{label}.ppm")
+        return write_heatmap(heatmap, self.values, *self.metric.value_range)
+
+
+def score_grid(metric: MetricKind, rows: list, cols: list) -> np.ndarray:
+    """`metric.evaluate` of every (row, column) pair of prepared layers, row by
+    row; when `cols` is `rows` only the upper triangle, diagonal included, is
+    scored and then mirrored (every metric here is symmetric)."""
+    same = rows is cols
+    values = np.zeros((len(rows), len(cols)))
+    for i, a in enumerate(rows):
+        for j in range(i if same else 0, len(cols)):
+            values[i, j] = metric.evaluate(a, cols[j])
+            if same:
+                values[j, i] = values[i, j]
+    return values
 
 
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):
     """Evaluate `metric` over every (layer of a) x (layer of b) pair.
 
-    Each distinct layer is prepared once, then every cell runs the metric's
-    pair step on the prepared layers. When both sets are the same object
-    the grid is evaluated on the upper triangle and mirrored (every metric
-    here is symmetric).
+    Each distinct layer is prepared once, then `score_grid` scores every
+    cell; when both sets are the same object it scores the upper triangle
+    and mirrors it. A cell is degenerate when either of its layers is.
     """
     if a.n != b.n:
         raise ShapeError(f"probe sizes differ: {a.n} vs {b.n}")
-    same = a is b
     pa = [metric.prepare(r.matrix) for r in a.records]
-    pb = pa if same else [metric.prepare(r.matrix) for r in b.records]
-    na, nb = len(pa), len(pb)
-    values = np.zeros((na, nb))
-    degenerate = np.zeros((na, nb), dtype=bool)
-    for i in range(na):
-        for j in range(i if same else 0, nb):
-            val, flag = metric.evaluate(pa[i], pb[j], with_flag=True)
-            values[i, j] = val
-            degenerate[i, j] = flag
-            if same:
-                values[j, i] = val
-                degenerate[j, i] = flag
+    pb = pa if a is b else [metric.prepare(r.matrix) for r in b.records]
+    values = score_grid(metric, pa, pb)
+    degenerate = np.logical_or.outer([p.degenerate for p in pa], [p.degenerate for p in pb])
     meta = {
         "n": a.n,
         "model_ids": [a.manifest.get("model_id"), b.manifest.get("model_id")],

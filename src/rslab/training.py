@@ -122,21 +122,18 @@ class EpochTrace:
         return p
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([
-                "epoch", "train_loss", "val_loss", "val_loss_adv",
-                "benign_acc", "robust_acc", "checkpoint", "probe_benign", "probe_adv",
-            ])
-            for e in self.entries:
-                w.writerow([
-                    e.epoch, f"{e.train_loss:.8g}", f"{e.val_loss:.8g}",
-                    "" if e.val_loss_adv is None else f"{e.val_loss_adv:.8g}",
-                    f"{e.benign_acc:.6g}",
-                    "" if e.robust_acc is None else f"{e.robust_acc:.6g}",
-                    self._rel(e.checkpoint_path), self._rel(e.probe_benign_path),
-                    self._rel(e.probe_adv_path),
-                ])
+        # cells are formatted here, so they keep their own precision
+        errors.write_csv(path, [
+            "epoch", "train_loss", "val_loss", "val_loss_adv",
+            "benign_acc", "robust_acc", "checkpoint", "probe_benign", "probe_adv",
+        ], [[
+            e.epoch, f"{e.train_loss:.8g}", f"{e.val_loss:.8g}",
+            "" if e.val_loss_adv is None else f"{e.val_loss_adv:.8g}",
+            f"{e.benign_acc:.6g}",
+            "" if e.robust_acc is None else f"{e.robust_acc:.6g}",
+            self._rel(e.checkpoint_path), self._rel(e.probe_benign_path),
+            self._rel(e.probe_adv_path),
+        ] for e in self.entries])
 
     @classmethod
     def load_csv(cls, path) -> "EpochTrace":

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ def test_truncation_fuzz(tmp_path, fmt):
         path.write_bytes(pristine[:cut])
         with pytest.raises(FormatError):
             read(path)
+
+
+# offset of the first payload item: the 10-byte header, then for RSAM the
+# name "layer00" | u32 layer_index | u64 n | u64 p, and for RSCK the name
+# "1.b" (a zero bias) | u8 ndim | u64 shape
+FIRST_PAYLOAD = {"rsam": 10 + 2 + 7 + 4 + 8 + 8, "rsck": 10 + 2 + 3 + 1 + 8}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIRST_PAYLOAD))
+def test_non_finite_payload_rejected_without_warning(tmp_path, fmt):
+    write, read = FORMATS[fmt]
+    path = tmp_path / f"nan.{fmt}"
+    write(np.random.default_rng(14), path)
+    pristine = path.read_bytes()
+    at = FIRST_PAYLOAD[fmt]
+    read(path)
+    # quiet NaN, signalling NaN (its cast to float64 warns), +inf, -inf
+    for bits in (0x7FC00000, 0x7FA00000, 0x7F800000, 0xFF800000):
+        raw = bytearray(pristine)
+        raw[at : at + 4] = struct.pack("<I", bits)
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError):
+                read(path)
 
 
 # not datasets: zip readers find the archive from its end and accept

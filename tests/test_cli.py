@@ -113,6 +113,8 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("experiment", {}, {"kind": "crosslayer", "runs": ["no_such_run"], "metric": {
         "name": "linear_cka", "batch": 5, "variance_fraction": 0.3}}),
     ("experiment", {}, {"kind": "transfer"}),
+    # valid but for a field its kind does not read, on a real run
+    ("experiment", {}, {"kind": "evolution", "condition": "adv"}),
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
@@ -120,15 +122,18 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
     "experiment-metric-string", "experiment-metric-foreign-params", "experiment-kind-transfer",
+    "experiment-foreign-field",
 ])
 def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
-    _, data_path, _, _ = pipeline
+    _, data_path, _, run_dir = pipeline
     key, flag, base = {
         "train": ("training", "--config", {"arch": "mlp-3", "data": data_path}),
         "gen-data": ("dataset", "--spec", {}),
         "experiment": ("experiment", "--spec", {}),
     }[command]
     doc = {"schema_version": 1, **base, **top}
+    if command == "experiment":
+        section = {"runs": [run_dir], **section}  # a real run, unless the case names one
     if section is not None:
         doc[key] = section
     path = write_json(tmp_path / "doc.json", doc)
@@ -391,6 +396,26 @@ def test_attack_on_corrupt_dataset_exits_5(pipeline, tmp_path, capsys):
         assert code == 5, bad
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and str(bad) in err["message"]
+
+
+def test_non_finite_dataset_exits_5(pipeline, tmp_path, capsys):
+    _, data_path, config_path, run_dir = pipeline
+    bad = str(tmp_path / "nan.npz")
+    with np.load(data_path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["val_x"][0, 0, 0, 0] = np.nan  # one pixel of the first val point
+    np.savez(bad, **arrays)
+    model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
+    for argv in (
+        ["attack", "--model", model, "--threat", "linf", "--eps", "0.1", "--steps", "1",
+         "--data", bad, "--limit", "8", "--out", str(tmp_path / "atk")],
+        ["record", "--model", model, "--data", bad, "--limit", "8",
+         "--out", str(tmp_path / "rec.rsam")],
+        ["train", "--config", config_path, "--data", bad, "--out", str(tmp_path / "run")],
+    ):
+        assert run_cli(*argv) == 5, argv[0]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and bad in err["message"]
 
 
 def test_seed_threading_determinism(pipeline, tmp_path):

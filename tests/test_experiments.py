@@ -255,9 +255,35 @@ def test_experiment_spec_validation():
         {"kind": "crosslayer", "metric": {"name": "nope"}},
         {"kind": "threatgrid", "runs": ["a", "b", "c"], "labels": ["x", "y"]},
         {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y", "z"]},
+        # fields the kind does not read
+        {"kind": "evolution", "runs": ["r"], "condition": "adv", "labels": ["x"],
+         "eps_values": [0.1]},
+        {"kind": "evolution", "runs": ["r"], "condition": "adv"},
+        {"kind": "evolution", "runs": ["r"], "min_lag": 1},
+        {"kind": "evolution", "runs": ["r"], "width_values": [1]},
+        {"kind": "threatgrid", "runs": ["a", "b"], "condition": "adv"},
+        {"kind": "threatgrid", "runs": ["a", "b"], "taps": [1]},
+        {"kind": "divergence", "runs": ["r"], "condition": "adv"},
+        {"kind": "divergence", "runs": ["r"], "min_lag": 2},
+        {"kind": "crosslayer", "runs": ["r"], "labels": ["x"]},
+        {"kind": "crosslayer", "runs": ["r"], "taps": [1]},
+        {"kind": "crosslayer", "runs": ["r"], "eps_values": [0.1]},
+        {"kind": "grid", "runs": ["r"], "labels": ["x"]},
+        {"kind": "grid", "runs": ["r"], "taps": [0]},
     ):
         with pytest.raises(ConfigError):
             experiments.ExperimentSpec.from_json(bad)
+    # each kind's own fields, and every field at its default
+    for good in (
+        {"kind": "crosslayer", "runs": ["r"], "condition": "adv", "min_lag": 2},
+        {"kind": "grid", "runs": ["r"], "condition": "adv", "min_lag": 1,
+         "eps_values": [0.1], "width_values": [1]},
+        {"kind": "evolution", "runs": ["r"], "taps": [1]},
+        {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y"]},
+        {"kind": "divergence", "runs": ["r"], "condition": "benign", "labels": [],
+         "min_lag": None},
+    ):
+        experiments.ExperimentSpec.from_json(good)
     spec = experiments.ExperimentSpec.from_json(
         {"kind": "crosslayer", "runs": ["r"], "metric": {"name": "procrustes"}}
     )

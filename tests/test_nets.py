@@ -144,7 +144,7 @@ def test_blocked_passes_match_one_pass(resnet16, blocks, extra):
     logits, tapped = nets.forward(net, x, taps=net.taps)
     assert np.array_equal(logits, ref_logits)
     for t in net.taps:
-        assert np.array_equal(tapped[t], nets._flatten_act(state[0][t]))
+        assert np.array_equal(tapped[t], nets._flatten_act(state[1][t]))
     assert np.array_equal(nets.predict(net, x), ref_logits.argmax(axis=1))
     assert np.array_equal(nets.input_grad(net, x, ce_cotangent(labels)), ref_dx)
     loss, _ = nets.loss_and_grad(net, nets.Batch(x, labels))

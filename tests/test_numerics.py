@@ -115,7 +115,7 @@ def test_svd_truncate_rank_one():
 
 def test_svd_truncate_count_matches_cumsum_oracle():
     rng = np.random.default_rng(7)
-    for shape in ((20, 5), (8, 30)):  # tall, and wide (n-sized factor path)
+    for shape in ((20, 5), (8, 30)):  # tall and wide
         m = numerics.center_columns(rng.normal(size=shape))
         proj = numerics.svd_truncate(m, 0.9)
         sv = oracles.jacobi_singular_values(m)
@@ -126,8 +126,8 @@ def test_svd_truncate_count_matches_cumsum_oracle():
 
 
 def test_svd_truncate_tall_matches_jacobi_projection():
-    # tall and rank deficient: three all-zero columns, like dead ReLU units,
-    # through the p x p R-factor route; and square, through one direct SVD
+    # tall and rank deficient: three all-zero columns, like dead ReLU units;
+    # and square, the shape of the factors SVCCA truncates
     rng = np.random.default_rng(8)
     tall = numerics.center_columns(rng.normal(size=(64, 12)))
     tall[:, [2, 7, 11]] = 0.0

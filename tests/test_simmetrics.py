@@ -13,6 +13,7 @@ from rslab.errors import (
     ShapeError,
     ValidationError,
 )
+from rslab.ppm import write_heatmap
 
 import oracles
 
@@ -76,8 +77,8 @@ def test_cka_degenerate_flag():
     # zero after centering: a tall and a wide constant input
     for x in (np.ones((5, 3)), np.ones((5, 12))):
         y = rng.normal(size=(5, 2))
-        val, flag = sm.MetricKind.linear_cka().evaluate(x, y, with_flag=True)
-        assert val == 0.0 and flag
+        metric = sm.MetricKind.linear_cka()
+        assert metric.evaluate(x, y) == 0.0 and metric.prepare(x).degenerate
 
 
 def test_cka_row_mismatch():
@@ -382,8 +383,19 @@ def test_procrustes_random_matches_nuclear_oracle():
 def test_procrustes_degenerate():
     # a tall and a wide constant input
     for x in (np.ones((4, 2)), np.ones((4, 9))):
-        val, flag = sm.MetricKind.procrustes().evaluate(x, np.eye(4), with_flag=True)
-        assert val == 0.0 and flag
+        metric = sm.MetricKind.procrustes()
+        assert metric.evaluate(x, np.eye(4)) == 0.0 and metric.prepare(x).degenerate
+
+
+def test_svcca_degenerate():
+    # a tall and a wide constant input: SVCCA flags its all-zero square factor
+    rng = np.random.default_rng(41)
+    metric = sm.MetricKind.svcca(0.9)
+    for x in (np.ones((12, 3)), np.ones((12, 20))):
+        assert metric.prepare(x).degenerate
+        for y in (rng.normal(size=(12, 4)), rng.normal(size=(12, 30)), x):
+            assert metric.evaluate(x, y) == 0.0 and metric.evaluate(y, x) == 0.0
+    assert not metric.prepare(rng.normal(size=(12, 3))).degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +549,13 @@ def test_crosslayer_prepared_equals_raw_evaluate(metric, n, widths):
                 sm.crosslayer_matrix(x, y, metric)
             continue
         grid = sm.crosslayer_matrix(x, y, metric)
-        cells = [
-            [metric.evaluate(r.matrix, s.matrix, with_flag=True) for s in y.records]
-            for r in x.records
-        ]
-        values = np.array([[v for v, _ in row] for row in cells])
-        flags = np.array([[f for _, f in row] for row in cells])
+        values = np.array([
+            [metric.evaluate(r.matrix, s.matrix) for s in y.records] for r in x.records
+        ])
+        flags = np.logical_or.outer(
+            [metric.prepare(r.matrix).degenerate for r in x.records],
+            [metric.prepare(s.matrix).degenerate for s in y.records],
+        )
         if metric.name == "online_cka":
             assert np.array_equal(grid.values, values)
         else:
@@ -639,12 +652,16 @@ def test_similarity_matrix_save_load(tmp_path):
     flat = ActivationSet(recs, a.labels, a.manifest)
     for s in (a, flat):
         grid = sm.crosslayer_matrix(s, s, sm.MetricKind.linear_cka())
-        base = str(tmp_path / "grid")
-        grid.save(base)
+        clamped = grid.save(str(tmp_path), "grid")
+        base = str(tmp_path / "matrix_grid")
         with open(base + ".csv", newline="") as fh:
             rows = list(csv.reader(fh))
         with open(base + ".json") as fh:
             sidecar = json.load(fh)
+        ref = str(tmp_path / "ref.ppm")
+        assert clamped == write_heatmap(ref, grid.values, *grid.metric.value_range)
+        with open(ref, "rb") as fh, open(tmp_path / "heatmap_grid.ppm", "rb") as gh:
+            assert gh.read() == fh.read()
         assert rows[0][1:] == grid.col_names
         assert [r[0] for r in rows[1:]] == grid.row_names
         values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
@@ -652,6 +669,9 @@ def test_similarity_matrix_save_load(tmp_path):
         assert sm.MetricKind.from_json(sidecar["metric"]) == grid.metric
         assert sidecar["degenerate"] == np.argwhere(grid.degenerate).tolist()
     assert grid.degenerate[1].all() and grid.degenerate.sum() == 2 * len(recs) - 1
+    # a cell past the range by less than the contract's 1e-6 clamps the heatmap
+    over = sm.SimilarityMatrix(["r"], ["c"], [[1.0 + 1e-9]], grid.metric, np.zeros((1, 1), bool))
+    assert over.save(str(tmp_path), "over")
 
 
 def test_block_structure_score():
