@@ -1,9 +1,12 @@
 """Activation-dump data model and the RSAM binary file format.
 
 A dump holds one matrix per tapped layer, recorded over a fixed probe set,
-together with per-point class labels and a JSON manifest. The payload is
-32-bit on disk and widened to float64 on load; metric tolerances account for
-the precision loss.
+together with per-point class labels and a JSON manifest. Records stay
+float32 from the tap to the metric: `record_activations` keeps the float32
+taps `nets.forward` returns, `write_dump` writes them without a copy,
+`read_dump` returns read-only float32 views into the file's bytes, and each
+metric widens a layer to float64 once, in `MetricKind.prepare`. A recording
+therefore holds exactly what its dump reloads.
 
 The manifest is the one place a dump states its input condition
 (`{"kind": "benign"}`, or `{"kind": "adversarial", "threat": ..., "epsilon":
@@ -44,14 +47,19 @@ VERSION = 2
 
 @dataclass
 class ActivationRecord:
-    """One layer's n x p activation matrix."""
+    """One layer's n x p activation matrix, float32 or float64.
+
+    A float32 or float64 array is kept as given, without a cast or a copy;
+    anything else becomes float64.
+    """
 
     layer_name: str
     layer_index: int
-    matrix: np.ndarray  # (n, p) float64
+    matrix: np.ndarray  # (n, p) float32 or float64
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        m = np.asarray(self.matrix)
+        self.matrix = m if m.dtype == np.float32 else np.asarray(m, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.size == 0:
             raise ShapeError(
                 f"record {self.layer_name!r} matrix must be nonempty 2-d"
@@ -117,9 +125,9 @@ def write_dump(aset: ActivationSet, path) -> None:
     for r in aset.records:
         body.append(container.pack_name(r.layer_name))
         body.append(struct.pack("<IQQ", r.layer_index, r.n, r.p))
-        body.append(np.ascontiguousarray(r.matrix, dtype="<f4").tobytes())
+        body.append(np.ascontiguousarray(r.matrix, dtype="<f4"))
     body.append(struct.pack("<Q", aset.n))
-    body.append(np.ascontiguousarray(aset.labels, dtype="<i4").tobytes())
+    body.append(np.ascontiguousarray(aset.labels, dtype="<i4"))
     manifest = dict(aset.manifest)
     manifest.setdefault("n", aset.n)
     manifest["layers"] = aset.layer_names
@@ -127,7 +135,10 @@ def write_dump(aset: ActivationSet, path) -> None:
 
 
 def read_dump(path) -> ActivationSet:
-    """Read an RSAM file back into an ActivationSet (payload widened to f64)."""
+    """Read an RSAM file back into an ActivationSet.
+
+    Each record is a read-only float32 view into the file's bytes.
+    """
     rd = container.Reader(path, MAGIC, VERSION)
     if rd.count == 0:
         raise ManifestError("record count is zero")
@@ -138,7 +149,7 @@ def read_dump(path) -> ActivationSet:
         layer_index, n, p = rd.unpack("<IQQ")
         if n == 0 or p == 0:
             raise TruncatedError(f"record {name!r} declares empty {n}x{p} matrix")
-        mat = rd.array("<f4", (n, p)).astype(np.float64)
+        mat = rd.array("<f4", (n, p))
         if expected_n is None:
             expected_n = n
         elif n != expected_n:
@@ -178,9 +189,8 @@ def record_activations(
     the perturbed inputs, and the manifest names the threat. Either way the
     manifest digests the clean probe, so the two dumps of one probe pair up.
     Spatial activations (c, h, w) flatten channel-major into the columns.
-    The tapped matrices are rounded through float32, matching what a dump
-    written to disk would reload, so recordings are bit-stable across a
-    write/read cycle.
+    The records are the float32 taps themselves, what a dump written to disk
+    reloads, so recordings are bit-stable across a write/read cycle.
     """
     if attack is None:
         inputs, condition = probe.inputs, {"kind": "benign"}
@@ -193,10 +203,7 @@ def record_activations(
         }
     _, tapped = nets.forward(net, inputs, taps=net.taps)
     names = nets.layer_names(net)
-    records = [
-        ActivationRecord(names[i], i, tapped[i].astype(np.float32).astype(np.float64))
-        for i in net.taps
-    ]
+    records = [ActivationRecord(names[i], i, tapped[i]) for i in net.taps]
     manifest = {
         "model_id": model_id,
         "seed": seed,

@@ -30,10 +30,14 @@ def pack_name(name: str) -> bytes:
 
 
 def write(path, magic: bytes, version: int, count: int, body: list, trailer: dict) -> None:
-    """Frame `body` (a list of byte strings) with header, trailer and footer."""
+    """Frame `body` with header, trailer and footer.
+
+    A body part is any C-contiguous buffer, byte strings and numpy arrays
+    alike; arrays are written from their own memory, without a copy.
+    """
     head = magic + struct.pack("<HI", version, count)
     tb = json.dumps(trailer, sort_keys=True).encode("utf-8")
-    offset = len(head) + sum(len(part) for part in body)
+    offset = len(head) + sum(memoryview(part).nbytes for part in body)
     with open(path, "wb") as fh:
         fh.writelines([head, *body, struct.pack("<I", len(tb)), tb, struct.pack("<Q", offset)])
 

@@ -425,15 +425,24 @@ def forward(net: NetworkGraph, inputs: np.ndarray, taps=None):
 
     Deterministic and side-effect free for fixed parameters. A spatial final
     output comes back in (n, c, h, w) layout. Runs in blocks of images.
+    Taps are float32 (n, p) arrays, flattened channel-major like
+    `_flatten_act`: each block's float64 output is rounded into them in one
+    cast-copy, so the float64 activations never exist for the whole batch.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n = x.shape[0]
     final = np.empty((n,) + net.output_shapes[-1])
-    tapped = {t: np.empty((n, int(np.prod(net.output_shapes[t])))) for t in taps or ()}
+    tapped = {
+        t: np.empty((n, int(np.prod(net.output_shapes[t]))), dtype=np.float32)
+        for t in taps or ()
+    }
     for rows in _blocks(net, n):
         _, outs, _ = _run_forward(net, x[rows])
         for t, dst in tapped.items():
-            dst[rows] = _flatten_act(outs[t])
+            a = outs[t]
+            if a.ndim == 4:  # runtime NHWC into channel-major columns
+                a = a.transpose(0, 3, 1, 2)
+            dst[rows].reshape(a.shape)[...] = a
         last = outs[-1]
         final[rows] = last.transpose(0, 3, 1, 2) if last.ndim == 4 else last
     return final, tapped
@@ -634,7 +643,7 @@ def save_checkpoint(net: NetworkGraph, path, epoch: int | str = "final") -> None
     for name, arr in tensors:
         body.append(container.pack_name(name))
         body.append(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
-        body.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        body.append(np.ascontiguousarray(arr, dtype="<f4"))
     trailer = {
         "arch": net.arch,
         "width": net.width_factor,

@@ -2,7 +2,8 @@
 
 Activation matrices are plain 2-d numpy arrays with rows = probe points and
 columns = flattened units. `as_matrix` is the single validation gate: every
-public operation funnels its inputs through it.
+public operation funnels its inputs through it, and it is the one place a
+float32 activation record is widened to float64.
 """
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ from .errors import NumericalError, ShapeError, ValidationError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a finite 2-d float64 array."""
+    """Validate and return `a` as a finite 2-d float64 array.
+
+    This is the one place a matrix is widened: a float32 record (as dumps and
+    `record_activations` hold them) is copied to float64 here, once per layer
+    per `MetricKind.prepare`. A float64 array comes back as it is.
+    """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got shape {m.shape}")
@@ -23,10 +29,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def center_columns(m) -> np.ndarray:
-    """Subtract each column's mean, so every column sums to zero."""
-    m = as_matrix(m)
-    return m - m.mean(axis=0, keepdims=True)
+def center_columns(m, name: str = "matrix") -> np.ndarray:
+    """Subtract each column's mean, so every column sums to zero.
+
+    When `as_matrix` made a float64 copy of m (a float32 record), the copy is
+    centred in place, so a layer has one float64 copy at a time; the caller's
+    own float64 m is left as it is.
+    """
+    c = as_matrix(m, name)
+    mean = c.mean(axis=0, keepdims=True)
+    if c is m or not c.flags.owndata:
+        return c - mean
+    c -= mean
+    return c
 
 
 def gram_linear(x) -> np.ndarray:

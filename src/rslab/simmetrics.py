@@ -178,7 +178,8 @@ def _orthonormal_basis(m: np.ndarray) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
     tol = max(m.shape) * np.finfo(np.float64).eps * s[0]
-    return u[:, s > tol]
+    # s is sorted, so the kept directions are a prefix: a view, not a copy
+    return u[:, : np.count_nonzero(s > tol)]
 
 
 def mean_cca(x, y):
@@ -215,7 +216,7 @@ class PreparedLayer:
     `matrix` is what the pair step multiplies: the centered matrix (linear
     CKA), the orthonormal basis (mean CCA), the unit-norm `gram_factor`
     (Procrustes), the square factor with the centered layer's singular
-    values (SVCCA), or the validated input itself (online CKA).
+    values (SVCCA), or the validated float64 input (online CKA).
     `centered` is a tall SVCCA layer's centered n x p matrix, kept next to
     the p x p factor in `matrix` to map its directions back to the n rows.
     `gram` is a wide layer's n x n Gram (linear CKA), `mean` the column
@@ -240,15 +241,15 @@ class PreparedLayer:
         return (self.matrix if self.centered is None else self.centered).shape[0]
 
 
-def _centered(x: np.ndarray) -> np.ndarray:
-    x = center_columns(x)
+def _centered(x, name: str) -> np.ndarray:
+    x = center_columns(x, name)
     if x.shape[0] < 2:
         raise ShapeError(f"need at least 2 rows, got {x.shape[0]}")
     return x
 
 
-def _prepare_linear_cka(kind, x):
-    x = _centered(x)
+def _prepare_linear_cka(kind, x, name):
+    x = _centered(x, name)
     if x.shape[0] < x.shape[1]:
         # wide: |X^T X|_F = |K|_F through the smaller n x n Gram
         k = gram_linear(x)
@@ -286,7 +287,8 @@ def _online_batches(n: int, kind):
             yield order[s:e]
 
 
-def _prepare_online_cka(kind, x):
+def _prepare_online_cka(kind, x, name):
+    x = as_matrix(x, name)
     if x.shape[0] < 4:
         raise ShapeError(f"need at least 4 points, got {x.shape[0]}")
     # x[idx] - mean has the bits of (x - mean)[idx]: no centered copy is kept
@@ -329,8 +331,8 @@ def _require_rows_over_cols(n: int, *cols: int) -> None:
         raise ShapeError(f"CCA needs rows > cols, got {n} rows vs {widths} cols")
 
 
-def _prepare_mean_cca(kind, x):
-    x = _centered(x)
+def _prepare_mean_cca(kind, x, name):
+    x = _centered(x, name)
     _require_rows_over_cols(*x.shape)
     try:
         q = _orthonormal_basis(x)
@@ -345,10 +347,10 @@ def _pair_mean_cca(kind, a, b):
     return _canonical_mean(a.matrix.T @ b.matrix)
 
 
-def _prepare_svcca(kind, x):
+def _prepare_svcca(kind, x, name):
     # factor once, but truncate in the pair step: the traced self-check in
     # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
-    x = center_columns(x)
+    x = center_columns(x, name)
     tall = x.shape[1] < x.shape[0]
     # a tall x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
     f = np.linalg.qr(x, mode="r").T if tall else gram_factor(x)
@@ -385,12 +387,13 @@ def _pair_svcca(kind, a, b):
     return _canonical_mean(_in_rows(a, wx).T @ _in_rows(b, wy))
 
 
-def _prepare_procrustes(kind, x):
-    x = _centered(x)
+def _prepare_procrustes(kind, x, name):
+    x = _centered(x, name)
     f = np.linalg.norm(x)
     if f == 0.0:
         return PreparedLayer(kind, x, True)
-    return PreparedLayer(kind, gram_factor(x / f))
+    x /= f  # the centred matrix is this layer's own copy
+    return PreparedLayer(kind, gram_factor(x))
 
 
 def _pair_procrustes(kind, a, b):
@@ -471,8 +474,12 @@ class MetricKind:
         return (0.0, 2.0) if self.name == "procrustes" else (0.0, 1.0)
 
     def prepare(self, x, name: str = "x") -> PreparedLayer:
-        """Validate one n x p layer and do this metric's per-layer work once."""
-        return _STEPS[self.name][0](self, as_matrix(x, name))
+        """Validate one n x p layer and do this metric's per-layer work once.
+
+        A float32 layer is widened once, by `as_matrix`; a metric that
+        centres the layer does so in that copy.
+        """
+        return _STEPS[self.name][0](self, x, name)
 
     def evaluate(self, x, y) -> float:
         """Score one pair of layers, given raw or as `prepare` returned them."""
@@ -497,6 +504,10 @@ class MetricKind:
 class SimilarityMatrix:
     """A layerA x layerB grid of metric scores with its range contract.
 
+    Every value is finite, and lies in the metric's `value_range` (to 1e-6)
+    for the four bounded metrics. Online CKA's unbiased estimate can leave
+    [0, 1], so its values are kept as they are; the heatmap clamps them and
+    `save` reports that.
     `degenerate` is always set: a boolean grid of the cells whose pair had a
     degenerate layer, the outer OR of the layers' flags.
     """
@@ -512,8 +523,10 @@ class SimilarityMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.row_names), len(self.col_names)):
             raise ShapeError("values shape does not match layer name lists")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("values must be finite")
         lo, hi = self.metric.value_range
-        if self.values.size and (
+        if self.metric.name != "online_cka" and self.values.size and (
             self.values.min() < lo - 1e-6 or self.values.max() > hi + 1e-6
         ):
             raise ValidationError(

@@ -373,6 +373,7 @@ def checkpoint_probe(
     benign = record_activations(snap, probe, model_id=model_id, epoch=epoch, seed=seed)
     benign_path = os.path.join(out_dir, f"epoch_{tag}_benign.rsam")
     write_dump(benign, benign_path)
+    del benign  # not held through the adversarial attack and record
     adv_path = None
     if threat is not None:
         attack = generate(snap, probe, threat, seed=seed)

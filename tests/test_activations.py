@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,34 @@ def test_golden_bytes(tmp_path):
             assert np.array_equal(pb[k], pa[k].astype(np.float32).astype(np.float64))
 
 
+def test_memory_budget_of_record_write_and_read(tmp_path):
+    # a float64 copy of the payload anywhere on these paths breaks a bound
+    net = nets.make_network("miniresnet", (1, 16, 16), classes=4, seed=0)
+    rng = np.random.default_rng(17)
+    probe = nets.Batch(rng.uniform(0, 1, (128, 1, 16, 16)), rng.integers(0, 4, 128))
+    payload = 4 * probe.n * sum(int(np.prod(net.output_shapes[t])) for t in net.taps)
+    path = tmp_path / "m.rsam"
+    tracemalloc.start()
+    try:
+        aset = act.record_activations(net, probe)
+        held, record_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        act.write_dump(aset, path)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+        del aset
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = act.read_dump(path)
+        read_held, read_peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert back.n == probe.n
+    assert record_peak <= payload + 4 * nets._BLOCK_BYTES
+    assert write_peak <= 0.1 * payload
+    assert read_held <= 1.1 * payload
+    assert read_peak <= 1.1 * payload
+
+
 def test_condition_json():
     # the manifest is the one place a dump states its condition; a benign
     # condition has no threat keys, and both dumps digest the clean probe
@@ -316,6 +345,11 @@ def test_set_invariants():
         act.ActivationSet([rec(1, 4), rec(0, 4)], np.zeros(4, dtype=int))
     with pytest.raises(AlignmentError):
         act.ActivationSet([rec(0, 4)], np.zeros(3, dtype=int))
+    # a float32 or float64 matrix is kept as given; anything else widens
+    for dtype in (np.float32, np.float64):
+        m = np.ones((3, 2), dtype=dtype)
+        assert act.ActivationRecord("l", 0, m).matrix is m
+    assert act.ActivationRecord("l", 0, [[1, 2]]).matrix.dtype == np.float64
 
 
 def test_record_activations_identity_net():
@@ -351,4 +385,10 @@ def test_roundtrip_after_recording(tmp_path):
     s = act.record_activations(net, probe, attack)
     path = tmp_path / "rec.rsam"
     act.write_dump(s, path)
-    assert sets_equal(act.read_dump(path), s)
+    back = act.read_dump(path)
+    assert sets_equal(back, s)
+    # the records are the float32 taps, and reload as read-only views
+    for a, b in zip(s.records, back.records):
+        assert a.matrix.dtype == b.matrix.dtype == np.float32
+        assert not b.matrix.flags.writeable
+        assert a.matrix.tobytes() == b.matrix.tobytes()

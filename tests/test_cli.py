@@ -318,6 +318,28 @@ def test_compare_online_metric(pipeline, tmp_path):
     assert code == 0
 
 
+def test_compare_online_cka_below_zero_exits_0(tmp_path):
+    # independent layers, whose unbiased small-batch estimate is negative
+    from rslab.activations import ActivationRecord, ActivationSet, write_dump
+
+    rng = np.random.default_rng(1)
+    recs = [
+        ActivationRecord(f"{i:02d}_dense", i, rng.normal(size=(24, w)).astype(np.float32))
+        for i, w in enumerate((6, 10, 3))
+    ]
+    dump = str(tmp_path / "g.rsam")
+    write_dump(ActivationSet(recs, np.zeros(24, int)), dump)
+    out = str(tmp_path / "cmp")
+    code = run_cli(
+        "compare", "--a", dump, "--b", dump, "--metric", "online_cka",
+        "--batch", "8", "--passes", "1", "--out", out,
+    )
+    assert code == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["clamped"] is True
+
+
 def test_experiment_command(pipeline, tmp_path):
     _, _, _, run_dir = pipeline
     spec = write_json(

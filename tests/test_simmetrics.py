@@ -510,6 +510,61 @@ def test_crosslayer_range_respected_random_sets():
             assert grid.values.max() <= hi + 1e-6
 
 
+def _gaussian_set(seed, widths, n=24, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    recs = [
+        ActivationRecord(f"l{i:02d}", i, rng.normal(size=(n, w)).astype(dtype))
+        for i, w in enumerate(widths)
+    ]
+    return ActivationSet(recs, np.zeros(n, int))
+
+
+def test_online_cka_grid_keeps_estimates_below_zero(tmp_path):
+    # independent layers: the unbiased estimate is negative at batch 8 and
+    # at batch 24, the full-data estimator; the grid keeps it, and the
+    # heatmap clamps it and says so
+    s = _gaussian_set(1, (6, 10, 3))
+    for batch in (8, 24):
+        grid = sm.crosslayer_matrix(s, s, sm.MetricKind.online_cka(batch=batch, passes=1))
+        assert grid.values.min() < 0.0
+        assert grid.save(str(tmp_path), f"b{batch}")
+        with open(tmp_path / f"matrix_b{batch}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert min(float(v) for r in rows for v in r[1:]) < 0.0
+    # the other metrics keep their range, and no metric takes a non-finite value
+    flags = np.zeros((1, 1), bool)
+    with pytest.raises(ValidationError):
+        sm.SimilarityMatrix(["r"], ["c"], [[-0.1]], sm.MetricKind.linear_cka(), flags)
+    with pytest.raises(ValidationError):
+        sm.SimilarityMatrix(["r"], ["c"], [[np.nan]], sm.MetricKind.online_cka(), flags)
+
+
+@pytest.mark.parametrize("metric", [
+    sm.MetricKind.linear_cka(),
+    sm.MetricKind.online_cka(batch=16, passes=2, seed=3),
+    sm.MetricKind.mean_cca(),
+    sm.MetricKind.svcca(),
+    sm.MetricKind.procrustes(),
+], ids=lambda m: m.name)
+def test_float32_records_score_like_their_float64_widening(metric):
+    # a metric widens a float32 record once, in prepare: the bits equal those
+    # of scoring the float64 copy, and neither set's records are touched
+    widths = (3, 12, 25) if metric.name == "mean_cca" else (3, 12, 25, 60)
+    a32, b32 = _gaussian_set(4, widths, 40, np.float32), _gaussian_set(5, widths, 40, np.float32)
+    b32.records[1].matrix[:] = 2.5  # a degenerate layer
+    widen = lambda s: ActivationSet(
+        [ActivationRecord(r.layer_name, r.layer_index, r.matrix.astype(np.float64))
+         for r in s.records], s.labels)
+    a64, b64 = widen(a32), widen(b32)
+    before = [r.matrix.copy() for r in a32.records + b32.records + a64.records + b64.records]
+    for x, y, u, v in ((a32, a32, a64, a64), (a32, b32, a64, b64)):
+        g32, g64 = sm.crosslayer_matrix(x, y, metric), sm.crosslayer_matrix(u, v, metric)
+        assert g32.values.tobytes() == g64.values.tobytes()
+        assert np.array_equal(g32.degenerate, g64.degenerate)
+    after = [r.matrix for r in a32.records + b32.records + a64.records + b64.records]
+    assert all(np.array_equal(m, k) for m, k in zip(before, after))
+
+
 def test_crosslayer_n_mismatch():
     rng = np.random.default_rng(33)
     with pytest.raises(ShapeError):
