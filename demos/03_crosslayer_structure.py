@@ -2,15 +2,14 @@
 
 The paper claims that the block structure of cross-layer similarity (runs
 of distant layers that stay highly similar) disappears in adversarially
-robust nets. This demo measures the long-range score, the mean similarity
-over layer pairs at least one residual stage apart, for one standard and
-one PGD-trained net, and prints which of the two scored higher; at desk
-scale the sign depends on the seed. The heatmaps are written as PPM images
-you can open with any viewer.
+robust nets. This demo trains one standard and one PGD-trained net into run
+directories, runs the `crosslayer` experiment on each run's final benign
+probe dump, and prints the long-range score (the mean similarity over layer
+pairs at least one residual stage apart) and which of the two scored
+higher; at desk scale the sign depends on the seed. The experiment writes
+each heatmap as a PPM image you can open with any viewer.
 """
 import os
-
-import numpy as np
 
 from rslab import (
     DatasetSpec,
@@ -20,33 +19,27 @@ from rslab import (
     make_synthetic_dataset,
     train,
 )
-from rslab.activations import record_activations
-from rslab.nets import Batch
-from rslab.ppm import write_heatmap
-from rslab.simmetrics import MetricKind, block_structure_score, crosslayer_matrix
+from rslab.experiments import ExperimentSpec, run_crosslayer
 
 OUT = os.path.join(os.path.dirname(__file__), "out_crosslayer")
-os.makedirs(OUT, exist_ok=True)
-
 spec = DatasetSpec(n_train=1000, n_val=300)
 data = make_synthetic_dataset(spec, seed=0)
-probe = Batch(data.val.inputs[:256], data.val.labels[:256])
 threat = ThreatModel("linf", 0.1, steps=10)
 
-metric = MetricKind.linear_cka()
 scores = {}
 for method in ("standard", "advpgd"):
     net = make_network("miniresnet", (1, 16, 16), classes=4, seed=0)
+    run = os.path.join(OUT, method)
     cfg = TrainingConfig(
         method=method, threat=threat if method == "advpgd" else None,
-        epochs=15, probe_size=128,
+        epochs=15, probe_size=256,
     )
-    net, _ = train(net, data, cfg)
-    aset = record_activations(net, probe, model_id=method)
-    grid = crosslayer_matrix(aset, aset, metric)
-    scores[method] = block_structure_score(grid, min_lag=5)
-    path = os.path.join(OUT, f"heatmap_{method}.ppm")
-    write_heatmap(path, grid.values, 0.0, 1.0)
+    train(net, data, cfg, out_dir=run, model_id=method)
+    out = os.path.join(OUT, f"crosslayer_{method}")
+    _, scores[method] = run_crosslayer(
+        ExperimentSpec(kind="crosslayer", runs=(run,), min_lag=5), out
+    )
+    path = os.path.join(out, "heatmap_crosslayer.ppm")
     print(f"{method:9s}: long-range score = {scores[method]:.3f}  ({path})")
 
 diff = scores["advpgd"] - scores["standard"]

@@ -11,7 +11,8 @@ therefore holds exactly what its dump reloads.
 The manifest is the one place a dump states its input condition
 (`{"kind": "benign"}`, or `{"kind": "adversarial", "threat": ..., "epsilon":
 ...}`), its model, epoch and seed, and the digest of the clean probe it was
-recorded on, so a benign and an adversarial dump of one probe pair up.
+recorded on, so a benign and an adversarial dump of one probe pair up;
+`require_same_probe` is the rule every comparison of dumps passes through.
 
 RSAM v2 is a `container` file (magic "RSAM"; the manifest is its trailer)
 whose body is, little-endian:
@@ -36,6 +37,7 @@ from .errors import (
     AlignmentError,
     FormatError,
     ManifestError,
+    ProbeMismatchError,
     ShapeError,
     TruncatedError,
     ValidationError,
@@ -117,6 +119,17 @@ def probe_digest(inputs: np.ndarray, labels: np.ndarray) -> str:
     h.update(np.ascontiguousarray(inputs, dtype=np.float32).tobytes())
     h.update(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
     return h.hexdigest()[:16]
+
+
+def require_same_probe(*sets: ActivationSet) -> None:
+    """Raise ProbeMismatchError unless all sets share n and the probe digest;
+    a missing digest is a value of its own, which pairs only with itself."""
+    probes = sorted({(s.n, str(s.manifest.get("probe_digest"))) for s in sets})
+    if len(probes) > 1:
+        raise ProbeMismatchError(
+            f"dumps were recorded on different probes (n, digest): {probes}; "
+            "record both checkpoints with the same --data and --limit"
+        )
 
 
 def write_dump(aset: ActivationSet, path) -> None:

@@ -3,8 +3,10 @@ comparison, and full experiment families.
 
 `record` dumps a checkpoint's activations on the clean validation inputs;
 `attack` is the command that dumps activations on adversarial inputs. Both
-dumps digest the clean inputs, so a `record` and an `attack` dump of one
-checkpoint, dataset and --limit pair up in a divergence analysis.
+digest the clean inputs, and any two dumps compared must share that digest
+(else exit 5), so a `record` and an `attack` dump of one checkpoint, dataset
+and --limit pair up. A training run draws its probe from its seed: compare
+runs of different seeds through `record --data D --limit N` dumps.
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure,
 5 validation failure. Every file reader (datasets, RSCK checkpoints, RSAM
@@ -103,10 +105,6 @@ def _check_counts(args) -> None:
             raise ConfigError(f"--{name} must be >= 0, got {v}")
 
 
-def _threat_from_args(args) -> ThreatModel:
-    return ThreatModel(args.threat, args.eps, args.steps)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -157,7 +155,7 @@ def cmd_attack(args) -> int:
     sub = data.val
     if args.limit:
         sub = Batch(sub.inputs[: args.limit], sub.labels[: args.limit])
-    threat = _threat_from_args(args)
+    threat = ThreatModel(args.threat, args.eps, args.steps)
     os.makedirs(args.out, exist_ok=True)
     benign, robust = evaluate_accuracy(net, sub, threat, seed=args.seed)
     adv = generate(net, sub, threat, seed=args.seed)

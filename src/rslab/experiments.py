@@ -5,29 +5,33 @@ Each runner consumes completed run directories, writes matrix_*.csv /
 curves_*.csv / summary.json / heatmap_*.ppm into its output directory, and
 returns its summary scalars so callers can assert numbers instead of reading
 images. Re-running on unchanged inputs is byte-identical.
+Any two dumps compared must share a probe digest. A training run draws its
+probe from its seed, so `threatgrid` pairs only runs of one seed; compare
+other runs through `rslab record --data D --limit N` dumps of checkpoints.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import errors
-from .activations import read_dump
+from .activations import read_dump, require_same_probe
 from .errors import ConfigError, ProbeMismatchError, ValidationError
 from .ppm import write_heatmap
 from .simmetrics import MetricKind, block_structure_score, crosslayer_matrix, score_grid
 from .training import load_run
 
-# the fields each kind reads besides `runs` and `metric`; every other field
-# must keep its default
+# per kind: the fields it reads besides `runs` and `metric` (every other
+# field must keep its default), and the least and most runs it takes
 _KIND_FIELDS = {
-    "crosslayer": ("condition", "min_lag"),
-    "grid": ("condition", "min_lag", "eps_values", "width_values"),
-    "divergence": (),
-    "evolution": ("taps",),
-    "threatgrid": ("labels",),
+    "crosslayer": (("condition", "min_lag"), 1, 1),
+    "grid": (("condition", "min_lag", "eps_values", "width_values"), 0, None),
+    "divergence": ((), 1, 1),
+    "evolution": (("taps",), 1, 1),
+    "threatgrid": (("labels",), 2, None),
 }
 
 
@@ -50,10 +54,14 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.condition not in ("benign", "adv"):
             raise ConfigError(f"unknown condition {self.condition!r}")
+        reads, least, most = _KIND_FIELDS[self.kind]
         for f in fields(self):
-            own = f.name in ("kind", "runs", "metric") + _KIND_FIELDS[self.kind]
+            own = f.name in ("kind", "runs", "metric") + reads
             if not own and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{self.kind} takes no field {f.name!r}")
+        if not least <= len(self.runs) <= (most or len(self.runs)):
+            count = f"exactly {least}" if least == most else f"at least {least}"
+            raise ConfigError(f"{self.kind} takes {count} run(s), got {len(self.runs)}")
         if self.labels and len(self.labels) != len(self.runs):
             raise ConfigError(f"{len(self.labels)} labels for {len(self.runs)} runs")
 
@@ -83,8 +91,6 @@ def _default_lag(aset) -> int:
 
 def run_crosslayer(spec: ExperimentSpec, out_dir: str):
     """Layer x layer similarity of one model under one condition."""
-    if len(spec.runs) != 1:
-        raise ConfigError("crosslayer expects exactly one run")
     aset = _final_probe(spec.runs[0], spec.condition)
     sm = crosslayer_matrix(aset, aset, spec.metric)
     lag = spec.min_lag if spec.min_lag is not None else _default_lag(aset)
@@ -143,14 +149,9 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
 
 def divergence_curve(benign_set, adv_set, metric: MetricKind):
     """Per-layer metric(benign_i, adv_i); the probe must be shared."""
-    if benign_set.n != adv_set.n:
-        raise ProbeMismatchError("probe sizes differ between conditions")
+    require_same_probe(benign_set, adv_set)
     if benign_set.layer_names != adv_set.layer_names:
         raise ProbeMismatchError("layer lists differ between conditions")
-    dig_b = benign_set.manifest.get("probe_digest")
-    dig_a = adv_set.manifest.get("probe_digest")
-    if dig_b is not None and dig_a is not None and dig_b != dig_a:
-        raise ProbeMismatchError("dumps were recorded over different probes")
     return np.array([
         metric.evaluate(rb.matrix, ra.matrix)
         for rb, ra in zip(benign_set.records, adv_set.records)
@@ -159,8 +160,6 @@ def divergence_curve(benign_set, adv_set, metric: MetricKind):
 
 def run_divergence(spec: ExperimentSpec, out_dir: str):
     """Benign-vs-adversarial similarity by depth for one model."""
-    if len(spec.runs) != 1:
-        raise ConfigError("divergence expects exactly one run")
     benign = _final_probe(spec.runs[0], "benign")
     adv = _final_probe(spec.runs[0], "adv")
     curve = divergence_curve(benign, adv, spec.metric)
@@ -187,16 +186,12 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
     Also emits the pairwise epoch x epoch heatmap per tap and the validation
     losses for overlay. All dumps must share the probe digest.
     """
-    if len(spec.runs) != 1:
-        raise ConfigError("evolution expects exactly one run")
     _, trace = load_run(spec.runs[0])
     entries = [e for e in trace.entries if e.probe_benign_path]
     if len(entries) < 2:
         raise ValidationError("evolution needs at least two checkpoints")
     sets = [read_dump(e.probe_benign_path) for e in entries]
-    digests = {s.manifest.get("probe_digest") for s in sets}
-    if len(digests) > 1:
-        raise ProbeMismatchError("probe drifted across epochs")
+    require_same_probe(*sets)
     epochs = [e.epoch for e in entries]
     names = sets[0].layer_names
     tap_ids = list(spec.taps) if spec.taps else list(range(len(names)))
@@ -245,8 +240,6 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
 
 def run_threatgrid(spec: ExperimentSpec, out_dir: str):
     """Pairwise benign cross-layer similarity between per-threat models."""
-    if len(spec.runs) < 2:
-        raise ConfigError("threatgrid expects at least two runs")
     labels = spec.labels or tuple(os.path.basename(r.rstrip("/")) for r in spec.runs)
     if len(set(labels)) != len(labels):
         raise ConfigError(f"threatgrid labels are not distinct: {list(labels)}")
@@ -260,13 +253,10 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
     names = list(sets)
     means = {}
     os.makedirs(out_dir, exist_ok=True)
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if j < i:
-                continue
-            sm = crosslayer_matrix(sets[a], sets[a] if a == b else sets[b], spec.metric)
-            sm.save(out_dir, f"threatgrid_{a}_vs_{b}")
-            means[f"{a}|{b}"] = float(sm.values.mean())
+    for a, b in itertools.combinations_with_replacement(names, 2):
+        sm = crosslayer_matrix(sets[a], sets[b], spec.metric)
+        sm.save(out_dir, f"threatgrid_{a}_vs_{b}")
+        means[f"{a}|{b}"] = float(sm.values.mean())
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "threatgrid",
         "names": names,

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
+from .activations import require_same_probe
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -573,8 +574,7 @@ def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind
     cell; when both sets are the same object it scores the upper triangle
     and mirrors it. A cell is degenerate when either of its layers is.
     """
-    if a.n != b.n:
-        raise ShapeError(f"probe sizes differ: {a.n} vs {b.n}")
+    require_same_probe(a, b)
     pa = [metric.prepare(r.matrix) for r in a.records]
     pb = pa if a is b else [metric.prepare(r.matrix) for r in b.records]
     values = score_grid(metric, pa, pb)

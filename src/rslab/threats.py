@@ -36,7 +36,7 @@ import numpy as np
 
 from . import errors
 from .errors import KindError, ShapeError, ValidationError
-from .nets import Batch, NetworkGraph, _label_logp_and_grad, input_grad, predict
+from .nets import Batch, NetworkGraph, _im2col, _label_logp_and_grad, input_grad, predict
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,6 @@ def gabor_bank() -> np.ndarray:
 
 def _same_windows(fields: np.ndarray, k: int):
     """im2col windows of (n, h, w) fields for a 'same' k x k convolution."""
-    from .nets import _im2col
-
     cols, oh, ow = _im2col(fields[:, :, :, None], k, 1, k // 2)  # NHWC, one channel
     return cols, (fields.shape[0], oh, ow)
 

@@ -303,6 +303,64 @@ def test_record_and_attack_dumps_pair(pipeline, tmp_path):
     assert curve.shape == (len(b.records),) and np.all(curve <= 1.0 + 1e-9)
 
 
+@pytest.fixture(scope="module")
+def seeded_runs(pipeline):
+    """Short standard runs at seeds 1, 1 and 2; a run draws its probe from its seed."""
+    root, data_path, _, _ = pipeline
+    config = write_json(root / "standard.json", {
+        "schema_version": 1, "arch": "mlp-3",
+        "training": {"epochs": 1, "batch_size": 32, "probe_size": 32},
+    })
+    runs = {}
+    for name, seed in (("a", 1), ("twin", 1), ("b", 2)):
+        runs[name] = str(root / f"seed_{name}")
+        assert run_cli("train", "--config", config, "--data", data_path,
+                       "--seed", str(seed), "--out", runs[name]) == 0
+    return data_path, runs
+
+
+def _threatgrid(tmp_path, *runs):
+    spec = write_json(tmp_path / "tg.json", {
+        "schema_version": 1, "experiment": {"kind": "threatgrid", "runs": list(runs)},
+    })
+    return run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "tg"))
+
+
+def test_threatgrid_pairs_runs_of_one_seed(seeded_runs, tmp_path):
+    _, runs = seeded_runs
+    assert _threatgrid(tmp_path, runs["a"], runs["twin"]) == 0
+
+
+def test_threatgrid_refuses_runs_of_different_probes(seeded_runs, tmp_path, capsys):
+    _, runs = seeded_runs
+    assert _threatgrid(tmp_path, runs["a"], runs["b"]) == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "--limit" in err["message"]
+
+
+def test_compare_refuses_a_record_dump_against_a_training_probe(seeded_runs, tmp_path):
+    data_path, runs = seeded_runs
+    model = os.path.join(runs["a"], "checkpoints", "epoch_001.rsck")
+    dump = str(tmp_path / "r.rsam")
+    assert run_cli("record", "--model", model, "--data", data_path,
+                   "--limit", "32", "--out", dump) == 0
+    probe = os.path.join(runs["a"], "probes", "epoch_001_benign.rsam")
+    assert run_cli("compare", "--a", dump, "--b", probe, "--out", str(tmp_path / "c")) == 5
+
+
+def test_compare_pairs_record_dumps_of_two_checkpoints(seeded_runs, tmp_path):
+    data_path, runs = seeded_runs
+    dumps = []
+    for name in ("a", "b"):
+        dumps.append(str(tmp_path / f"{name}.rsam"))
+        assert run_cli(
+            "record", "--model", os.path.join(runs[name], "checkpoints", "epoch_001.rsck"),
+            "--data", data_path, "--limit", "32", "--out", dumps[-1],
+        ) == 0
+    assert run_cli("compare", "--a", dumps[0], "--b", dumps[1],
+                   "--out", str(tmp_path / "c")) == 0
+
+
 def test_compare_online_metric(pipeline, tmp_path):
     _, data_path, _, run_dir = pipeline
     dump = str(tmp_path / "c.rsam")

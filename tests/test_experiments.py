@@ -108,6 +108,24 @@ def test_divergence_probe_mismatch_raises(tiny_run, tmp_path):
         )
 
 
+def test_divergence_refuses_one_digest_missing(tiny_run):
+    # a missing digest pairs only with another missing one
+    from rslab.activations import ActivationSet, read_dump
+
+    run_dir, _ = tiny_run
+    _, trace = training.load_run(run_dir)
+    benign = read_dump(trace.entries[-1].probe_benign_path)
+    adv = read_dump(trace.entries[-1].probe_adv_path)
+    bare = ActivationSet(adv.records, adv.labels, {
+        k: v for k, v in adv.manifest.items() if k != "probe_digest"
+    })
+    with pytest.raises(ProbeMismatchError):
+        experiments.divergence_curve(benign, bare, MetricKind.linear_cka())
+    bare_benign = ActivationSet(benign.records, benign.labels)
+    curve = experiments.divergence_curve(bare_benign, bare, MetricKind.linear_cka())
+    assert np.array_equal(curve, experiments.divergence_curve(benign, adv, MetricKind.linear_cka()))
+
+
 def test_evolution_series_and_heatmaps(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     spec = experiments.ExperimentSpec(
@@ -270,6 +288,11 @@ def test_experiment_spec_validation():
         {"kind": "crosslayer", "runs": ["r"], "eps_values": [0.1]},
         {"kind": "grid", "runs": ["r"], "labels": ["x"]},
         {"kind": "grid", "runs": ["r"], "taps": [0]},
+        # run counts outside the kind's range
+        {"kind": "crosslayer", "runs": ["a", "b"]},
+        {"kind": "divergence", "runs": []},
+        {"kind": "evolution", "runs": ["a", "b"]},
+        {"kind": "threatgrid", "runs": ["a"]},
     ):
         with pytest.raises(ConfigError):
             experiments.ExperimentSpec.from_json(bad)

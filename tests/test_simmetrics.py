@@ -10,6 +10,7 @@ from rslab.errors import (
     AlignmentError,
     ConfigError,
     EmptySelectionError,
+    ProbeMismatchError,
     ShapeError,
     ValidationError,
 )
@@ -567,7 +568,7 @@ def test_float32_records_score_like_their_float64_widening(metric):
 
 def test_crosslayer_n_mismatch():
     rng = np.random.default_rng(33)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ProbeMismatchError):
         sm.crosslayer_matrix(make_set(rng, n=6), make_set(rng, n=7), sm.MetricKind.linear_cka())
 
 
