@@ -14,6 +14,9 @@ dumps) raises a FormatError subclass on malformed input, which exits 5.
 Errors print machine-readable JSON on stderr, never a traceback.
 Every command refuses to overwrite an existing non-empty --out unless
 --force is passed, and a single --seed determines every output byte.
+`compare`'s --batch, --passes and --seed are online CKA's parameters: left
+out, each takes its default from `MetricKind`, and given with any other
+metric, each exits 2.
 """
 from __future__ import annotations
 
@@ -192,12 +195,7 @@ def cmd_compare(args) -> int:
     _check_out(args.out, args.force)
     a = read_dump(args.a)
     b = a if os.path.abspath(args.b) == os.path.abspath(args.a) else read_dump(args.b)
-    if args.metric == "online_cka":
-        metric = MetricKind.online_cka(batch=args.batch, passes=args.passes, seed=args.seed)
-    elif args.metric == "svcca":
-        metric = MetricKind.svcca()
-    else:
-        metric = MetricKind(args.metric)
+    metric = MetricKind(args.metric, batch=args.batch, passes=args.passes, seed=args.seed)
     sm = crosslayer_matrix(a, b, metric)
     os.makedirs(args.out, exist_ok=True)
     clamped = sm.save(args.out, "compare")
@@ -282,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
     c.add_argument("--metric", default="linear_cka", choices=METRIC_NAMES)
-    c.add_argument("--batch", type=int, default=1024, help="online_cka batch size")
-    c.add_argument("--passes", type=int, default=3, help="online_cka passes")
-    c.add_argument("--seed", type=int, default=0)
+    online = "online_cka's {}, defaulted by the metric; any other metric exits 2 on it"
+    c.add_argument("--batch", type=int, help=online.format("batch size"))
+    c.add_argument("--passes", type=int, help=online.format("number of passes"))
+    c.add_argument("--seed", type=int, help=online.format("shuffle seed"))
     c.add_argument("--out", required=True)
     c.add_argument("--force", action="store_true")
     c.set_defaults(fn=cmd_compare)

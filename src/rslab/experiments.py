@@ -8,27 +8,29 @@ images. Re-running on unchanged inputs is byte-identical.
 Any two dumps compared must share a probe digest. A training run draws its
 probe from its seed, so `threatgrid` pairs only runs of one seed; compare
 other runs through `rslab record --data D --limit N` dumps of checkpoints.
+`grid` finds each run's (epsilon, width) cell in the run itself: epsilon is
+the training threat's in `config.json` (0.0 for a standard run, which has
+none), width the final checkpoint's width factor.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import errors
+from . import errors, nets
 from .activations import read_dump, require_same_probe
 from .errors import ConfigError, ProbeMismatchError, ValidationError
-from .ppm import write_heatmap
 from .simmetrics import MetricKind, block_structure_score, crosslayer_matrix, score_grid
-from .training import load_run
+from .training import TrainingConfig, load_run
 
 # per kind: the fields it reads besides `runs` and `metric` (every other
 # field must keep its default), and the least and most runs it takes
 _KIND_FIELDS = {
     "crosslayer": (("condition", "min_lag"), 1, 1),
-    "grid": (("condition", "min_lag", "eps_values", "width_values"), 0, None),
+    "grid": (("condition", "min_lag"), 0, None),
     "divergence": ((), 1, 1),
     "evolution": (("taps",), 1, 1),
     "threatgrid": (("labels",), 2, None),
@@ -42,12 +44,10 @@ class ExperimentSpec:
     kind: str
     runs: tuple[str, ...] = ()    # run directories (meaning depends on kind)
     labels: tuple[str, ...] = ()  # display names aligned with runs
-    metric: MetricKind = field(default_factory=MetricKind.linear_cka)
+    metric: MetricKind = MetricKind("linear_cka")
     condition: str = "benign"  # which probe dump to use: benign | adv
     min_lag: int | None = None
-    eps_values: tuple[float, ...] = ()  # grid: epsilon per run
-    width_values: tuple[int, ...] = ()  # grid: width per run
-    taps: tuple[int, ...] = ()          # evolution: restrict to these layer indices
+    taps: tuple[int, ...] = ()  # evolution: restrict to these layer indices
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -107,30 +107,46 @@ def run_crosslayer(spec: ExperimentSpec, out_dir: str):
     return sm, score
 
 
+def _run_cell(run_dir: str) -> tuple:
+    """A run's (epsilon, width): its training threat's epsilon, 0.0 for a
+    standard run, and its final checkpoint's width factor."""
+    config, trace = load_run(run_dir)
+    if not isinstance(config, dict):
+        raise ValidationError(f"run {run_dir}: config.json must be an object")
+    threat = TrainingConfig.from_json(config.get("training")).threat
+    checkpoint = trace.entries[-1].checkpoint_path
+    if checkpoint is None:
+        raise ValidationError(f"run {run_dir} has no final checkpoint")
+    eps = 0.0 if threat is None else float(threat.epsilon)
+    return eps, nets.load_checkpoint(checkpoint).width_factor
+
+
 def run_grid(spec: ExperimentSpec, out_dir: str):
-    """Long-range score per (epsilon, width) cell; missing cells become NaN."""
-    eps_values = spec.eps_values or (None,) * len(spec.runs)
-    width_values = spec.width_values or (None,) * len(spec.runs)
-    if not (len(spec.runs) == len(eps_values) == len(width_values)):
-        raise ConfigError("grid needs aligned runs/eps_values/width_values")
-    cells = list(zip(eps_values, width_values))
-    if len(set(cells)) != len(cells):
-        raise ConfigError("grid has two runs in the same (epsilon, width) cell")
-    eps_axis = sorted(set(eps_values))
-    width_axis = sorted(set(width_values))
-    grid = np.full((len(eps_axis), len(width_axis)), np.nan)
+    """Long-range score per (epsilon, width) cell, each run's cell read from
+    the run by `_run_cell`; a cell no run fills is NaN.
+
+    A run that cannot be read is listed under `missing` and takes no cell;
+    two runs in one cell raise ConfigError before any output is written.
+    """
+    scores = {}
     missing = []
-    for run, eps, width in zip(spec.runs, eps_values, width_values):
-        i = eps_axis.index(eps)
-        j = width_axis.index(width)
+    for run in spec.runs:
         try:
+            cell = _run_cell(run)
             aset = _final_probe(run, spec.condition)
-        except (OSError, ValidationError) as exc:
+        except (OSError, ConfigError, ValidationError) as exc:
             missing.append({"run": run, "error": str(exc)})
             continue
+        if cell in scores:
+            raise ConfigError(f"grid has two runs in the (epsilon, width) cell {cell}")
         sm = crosslayer_matrix(aset, aset, spec.metric)
         lag = spec.min_lag if spec.min_lag is not None else _default_lag(aset)
-        grid[i, j] = block_structure_score(sm, lag)
+        scores[cell] = block_structure_score(sm, lag)
+    eps_axis = sorted({eps for eps, _ in scores})
+    width_axis = sorted({width for _, width in scores})
+    grid = np.full((len(eps_axis), len(width_axis)), np.nan)
+    for (eps, width), score in scores.items():
+        grid[eps_axis.index(eps), width_axis.index(width)] = score
     os.makedirs(out_dir, exist_ok=True)
     errors.write_csv(
         os.path.join(out_dir, "matrix_grid.csv"),
@@ -139,8 +155,8 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
     )
     errors.write_json(os.path.join(out_dir, "summary.json"), {
         "kind": "grid",
-        "eps_axis": [e for e in eps_axis],
-        "width_axis": [w for w in width_axis],
+        "eps_axis": eps_axis,
+        "width_axis": width_axis,
         "scores": [[None if np.isnan(v) else v for v in row] for row in grid],
         "missing": missing,
     })
@@ -183,8 +199,10 @@ def run_divergence(spec: ExperimentSpec, out_dir: str):
 def run_evolution(spec: ExperimentSpec, out_dir: str):
     """Similarity of each checkpoint epoch to the final epoch, per tap.
 
-    Also emits the pairwise epoch x epoch heatmap per tap and the validation
-    losses for overlay. All dumps must share the probe digest.
+    Also saves each tap's epoch x epoch `SimilarityMatrix` as
+    matrix_evolution_tapNN.csv/.json and heatmap_evolution_tapNN.ppm, and
+    writes the validation losses for overlay. All dumps must share the
+    probe digest. Returns (epochs, {tap: series}, {tap: grid values}).
     """
     _, trace = load_run(spec.runs[0])
     entries = [e for e in trace.entries if e.probe_benign_path]
@@ -199,16 +217,21 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
     missing = [t for t in tap_ids if t not in index_of]
     if missing:
         raise ValidationError(f"taps {missing} not present in dumps")
+    epoch_names = [f"epoch_{e:03d}" for e in epochs]
+    os.makedirs(out_dir, exist_ok=True)
     series = {}
     heatmaps = {}
+    clamped = False
     for t in tap_ids:
         k = index_of[t]
         # each (tap, epoch) layer is prepared once for all its cells
         layers = [spec.metric.prepare(s.records[k].matrix) for s in sets]
         final = layers[-1]
         series[t] = np.array([spec.metric.evaluate(m, final) for m in layers])
-        heatmaps[t] = score_grid(spec.metric, layers, layers)
-    os.makedirs(out_dir, exist_ok=True)
+        # every dump of the run gives the sidecar the same n, model id and condition
+        sm = score_grid(spec.metric, layers, layers, epoch_names, epoch_names, sets[0], sets[-1])
+        clamped |= sm.save(out_dir, f"evolution_tap{t:02d}")
+        heatmaps[t] = sm.values
     errors.write_csv(
         os.path.join(out_dir, "curves_evolution.csv"),
         ["epoch"] + [names[index_of[t]] for t in tap_ids] + ["val_loss", "val_loss_adv"],
@@ -219,11 +242,6 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
             for i, e in enumerate(entries)
         ],
     )
-    for t in tap_ids:
-        write_heatmap(
-            os.path.join(out_dir, f"heatmap_evolution_tap{t:02d}.ppm"),
-            heatmaps[t], *spec.metric.value_range,
-        )
     reach = {}
     for t in tap_ids:
         hit = [e for e, v in zip(epochs, series[t]) if v >= 0.9]
@@ -234,6 +252,7 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
         "taps": tap_ids,
         "reach_09_epoch": reach,
         "final_epoch": epochs[-1],
+        "clamped": clamped,
     })
     return epochs, series, heatmaps
 

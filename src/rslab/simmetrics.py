@@ -8,12 +8,16 @@ all zero after centering (for SVCCA, whose square factor is all zero;
 online CKA flags none), and it scores 0 against anything instead of NaN so
 grids stay renderable.
 
+A metric's parameters and their defaults live only in `_PARAMS`, which
+`MetricKind` fills in from; the single-pair functions pass None through.
+
 Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
 once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
 prepares each distinct layer once per grid; `MetricKind.evaluate` and the
 single-pair functions prepare raw matrices themselves, so every caller runs
-the same code. `score_grid` is the one cell loop over prepared layers, and
-`SimilarityMatrix.save` writes a grid's CSV, JSON sidecar and heatmap.
+the same code. `score_grid`, the one cell loop over prepared layers, builds
+every grid's `SimilarityMatrix`, and `SimilarityMatrix.save` writes its
+CSV, JSON sidecar and heatmap.
 What each metric prepares, and what its pair step does:
 
 - linear CKA: the centered matrix, plus the n x n Gram and its norm for a
@@ -43,7 +47,7 @@ arithmetic and change no value beyond rounding.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,7 +79,7 @@ def linear_cka(x, y):
     Returns a float in [0, 1]; 0 when either input is degenerate (zero after
     centering).
     """
-    return MetricKind.linear_cka().evaluate(x, y)
+    return MetricKind("linear_cka").evaluate(x, y)
 
 
 def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
@@ -139,7 +143,7 @@ def _hsic_swap(x, y, self_x: float, self_y: float) -> bool:
     return (y.shape[1], self_y) < (x.shape[1], self_x)
 
 
-def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
+def online_cka(x, y, batch=None, passes=None, seed=None) -> float:
     """Streaming CKA over shuffled minibatches.
 
     Per batch, the unbiased HSIC estimator is evaluated for the numerator and
@@ -148,7 +152,7 @@ def online_cka(x, y, batch: int, passes: int = 3, seed: int = 0) -> float:
     A trailing batch smaller than 4 points is folded into its predecessor.
     One pass with batch >= n is the full-data CKA of unbiased HSIC terms.
     """
-    return MetricKind.online_cka(batch, passes, seed).evaluate(x, y)
+    return MetricKind("online_cka", batch, passes, seed).evaluate(x, y)
 
 
 def class_cka_decomposition(x, y, labels):
@@ -158,7 +162,7 @@ def class_cka_decomposition(x, y, labels):
     Components are raw signed sums over the centered Grams; either may be
     negative, and normalization is left to the caller.
     """
-    kind = MetricKind.linear_cka()
+    kind = MetricKind("linear_cka")
     a, b = kind.prepare(x, "x"), kind.prepare(y, "y")
     if a.n != b.n:
         raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
@@ -190,12 +194,12 @@ def mean_cca(x, y):
     space if rank deficient); the singular values of Qx^T Qy are the
     canonical correlations. Requires more rows than columns on both sides.
     """
-    return MetricKind.mean_cca().evaluate(x, y)
+    return MetricKind("mean_cca").evaluate(x, y)
 
 
-def svcca(x, y, variance_fraction: float = 0.99):
+def svcca(x, y, variance_fraction: float | None = None):
     """CCA after truncating both inputs to their leading principal directions."""
-    return MetricKind.svcca(variance_fraction).evaluate(x, y)
+    return MetricKind("svcca", variance_fraction=variance_fraction).evaluate(x, y)
 
 
 def procrustes_similarity(x, y):
@@ -207,7 +211,7 @@ def procrustes_similarity(x, y):
     cross-product nuclear norm unchanged too). Value lies in [0, 2];
     identical matrices score 2.
     """
-    return MetricKind.procrustes().evaluate(x, y)
+    return MetricKind("procrustes").evaluate(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +281,7 @@ def _online_batches(n: int, kind):
     A single batch holding every point needs no shuffle; keeping the input
     order makes it agree exactly with the full-data estimator.
     """
-    rng = np.random.default_rng(kind.seed or 0)
+    rng = np.random.default_rng(kind.seed)
     for _ in range(kind.passes):
         order = rng.permutation(n) if kind.batch < n else np.arange(n)
         starts = list(range(0, n, kind.batch))
@@ -418,13 +422,18 @@ _STEPS = {
 }
 
 METRIC_NAMES = tuple(_STEPS)
-# the parameters each metric takes; the other metrics take none
-_PARAMS = {"online_cka": ("batch", "passes", "seed"), "svcca": ("variance_fraction",)}
+# each metric's parameters with their defaults; the other metrics take none
+_PARAMS = {
+    "online_cka": {"batch": 1024, "passes": 3, "seed": 0},
+    "svcca": {"variance_fraction": 0.99},
+}
 
 
 @dataclass(frozen=True)
 class MetricKind:
-    """A similarity metric plus its parameters, dispatchable over matrix pairs."""
+    """A similarity metric plus its parameters, dispatchable over matrix pairs.
+
+    A parameter left as None takes its `_PARAMS` default."""
 
     name: str
     batch: int | None = None
@@ -435,40 +444,21 @@ class MetricKind:
     def __post_init__(self):
         if self.name not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.name!r}")
-        for k in ("batch", "passes", "seed", "variance_fraction"):
-            if getattr(self, k) is not None and k not in _PARAMS.get(self.name, ()):
-                raise ConfigError(f"{self.name} takes no parameter {k!r}")
+        params = _PARAMS.get(self.name, {})
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, params.get(f.name))
+            elif f.name not in params:
+                raise ConfigError(f"{self.name} takes no parameter {f.name!r}")
         if self.name == "online_cka":
-            if self.batch is None or self.batch < 4:  # the unbiased HSIC's minimum
+            if self.batch < 4:  # the unbiased HSIC's minimum
                 raise ValidationError("online_cka needs batch >= 4")
-            if self.passes is None or self.passes < 1:
+            if self.passes < 1:
                 raise ValidationError("online_cka needs passes >= 1")
-            if self.seed is not None and self.seed < 0:
+            if self.seed < 0:
                 raise ValidationError("online_cka needs seed >= 0")
-        if self.name == "svcca":
-            f = self.variance_fraction
-            if f is None or not 0.0 < f <= 1.0:
-                raise ValidationError("svcca needs variance_fraction in (0, 1]")
-
-    @classmethod
-    def linear_cka(cls) -> "MetricKind":
-        return cls("linear_cka")
-
-    @classmethod
-    def online_cka(cls, batch: int = 1024, passes: int = 3, seed: int = 0):
-        return cls("online_cka", batch=batch, passes=passes, seed=seed)
-
-    @classmethod
-    def mean_cca(cls) -> "MetricKind":
-        return cls("mean_cca")
-
-    @classmethod
-    def svcca(cls, variance_fraction: float = 0.99) -> "MetricKind":
-        return cls("svcca", variance_fraction=variance_fraction)
-
-    @classmethod
-    def procrustes(cls) -> "MetricKind":
-        return cls("procrustes")
+        if self.name == "svcca" and not 0.0 < self.variance_fraction <= 1.0:
+            raise ValidationError("svcca needs variance_fraction in (0, 1]")
 
     @property
     def value_range(self) -> tuple:
@@ -489,8 +479,7 @@ class MetricKind:
         if a.metric != self or b.metric != self:
             raise ValidationError(f"layer was not prepared for {self!r}")
         if a.n != b.n:
-            error = AlignmentError if self.name == "online_cka" else ShapeError
-            raise error(f"row counts differ: {a.n} vs {b.n}")
+            raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
         return _STEPS[self.name][1](self, a, b)
 
     def to_json(self) -> dict:
@@ -553,18 +542,28 @@ class SimilarityMatrix:
         return write_heatmap(heatmap, self.values, *self.metric.value_range)
 
 
-def score_grid(metric: MetricKind, rows: list, cols: list) -> np.ndarray:
-    """`metric.evaluate` of every (row, column) pair of prepared layers, row by
-    row; when `cols` is `rows` only the upper triangle, diagonal included, is
-    scored and then mirrored (every metric here is symmetric)."""
+def score_grid(metric: MetricKind, rows: list, cols: list, row_names: list,
+               col_names: list, a: "ActivationSet", b: "ActivationSet") -> SimilarityMatrix:
+    """The `SimilarityMatrix` of `metric.evaluate` over every (row, column)
+    pair of prepared layers, scored row by row; when `cols` is `rows` only
+    the upper triangle, diagonal included, is scored and then mirrored
+    (every metric here is symmetric). A cell is degenerate when either of
+    its layers is. The rows and columns were recorded in dumps like `a` and
+    `b`, which give the sidecar its n, model ids and conditions."""
     same = rows is cols
     values = np.zeros((len(rows), len(cols)))
-    for i, a in enumerate(rows):
+    for i, row in enumerate(rows):
         for j in range(i if same else 0, len(cols)):
-            values[i, j] = metric.evaluate(a, cols[j])
+            values[i, j] = metric.evaluate(row, cols[j])
             if same:
                 values[j, i] = values[i, j]
-    return values
+    degenerate = np.logical_or.outer([p.degenerate for p in rows], [p.degenerate for p in cols])
+    meta = {
+        "n": a.n,
+        "model_ids": [a.manifest.get("model_id"), b.manifest.get("model_id")],
+        "conditions": [a.manifest.get("condition"), b.manifest.get("condition")],
+    }
+    return SimilarityMatrix(row_names, col_names, values, metric, degenerate, meta)
 
 
 def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind):
@@ -572,21 +571,12 @@ def crosslayer_matrix(a: "ActivationSet", b: "ActivationSet", metric: MetricKind
 
     Each distinct layer is prepared once, then `score_grid` scores every
     cell; when both sets are the same object it scores the upper triangle
-    and mirrors it. A cell is degenerate when either of its layers is.
+    and mirrors it.
     """
     require_same_probe(a, b)
     pa = [metric.prepare(r.matrix) for r in a.records]
     pb = pa if a is b else [metric.prepare(r.matrix) for r in b.records]
-    values = score_grid(metric, pa, pb)
-    degenerate = np.logical_or.outer([p.degenerate for p in pa], [p.degenerate for p in pb])
-    meta = {
-        "n": a.n,
-        "model_ids": [a.manifest.get("model_id"), b.manifest.get("model_id")],
-        "conditions": [a.manifest.get("condition"), b.manifest.get("condition")],
-    }
-    return SimilarityMatrix(
-        a.layer_names, b.layer_names, values, metric, degenerate, meta
-    )
+    return score_grid(metric, pa, pb, a.layer_names, b.layer_names, a, b)
 
 
 def block_structure_score(m: SimilarityMatrix | np.ndarray, min_lag: int) -> float:

@@ -299,7 +299,7 @@ def test_record_and_attack_dumps_pair(pipeline, tmp_path):
     a = read_dump(os.path.join(out, "adversarial.rsam"))
     assert a.manifest["probe_digest"] == b.manifest["probe_digest"]
     assert a.manifest["condition"] == {"kind": "adversarial", "threat": "linf", "epsilon": 0.05}
-    curve = divergence_curve(b, a, MetricKind.linear_cka())
+    curve = divergence_curve(b, a, MetricKind("linear_cka"))
     assert curve.shape == (len(b.records),) and np.all(curve <= 1.0 + 1e-9)
 
 
@@ -376,17 +376,60 @@ def test_compare_online_metric(pipeline, tmp_path):
     assert code == 0
 
 
-def test_compare_online_cka_below_zero_exits_0(tmp_path):
-    # independent layers, whose unbiased small-batch estimate is negative
+def _synthetic_dump(tmp_path, seed, n, widths):
     from rslab.activations import ActivationRecord, ActivationSet, write_dump
 
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     recs = [
-        ActivationRecord(f"{i:02d}_dense", i, rng.normal(size=(24, w)).astype(np.float32))
-        for i, w in enumerate((6, 10, 3))
+        ActivationRecord(f"{i:02d}_dense", i, rng.normal(size=(n, w)).astype(np.float32))
+        for i, w in enumerate(widths)
     ]
     dump = str(tmp_path / "g.rsam")
-    write_dump(ActivationSet(recs, np.zeros(24, int)), dump)
+    write_dump(ActivationSet(recs, np.zeros(n, int)), dump)
+    return dump
+
+
+def test_compare_flag_of_another_metric_exits_2(tmp_path, capsys):
+    dump = _synthetic_dump(tmp_path, 2, 16, (3, 5))
+    code = run_cli("compare", "--a", dump, "--b", dump, "--metric", "linear_cka",
+                   "--batch", "16", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_compare_online_cka_defaults_come_from_the_metric(tmp_path):
+    dump = _synthetic_dump(tmp_path, 3, 40, (3, 5, 7))
+    outs = [str(tmp_path / "implicit"), str(tmp_path / "explicit")]
+    flags = ([], ["--batch", "1024", "--passes", "3", "--seed", "0"])
+    for out, extra in zip(outs, flags):
+        assert run_cli("compare", "--a", dump, "--b", dump, "--metric", "online_cka",
+                       *extra, "--out", out) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        with open(os.path.join(outs[0], name), "rb") as fa, open(
+            os.path.join(outs[1], name), "rb"
+        ) as fb:
+            assert fa.read() == fb.read(), name
+
+
+def test_grid_reads_each_cell_from_its_run(pipeline, seeded_runs, tmp_path):
+    _, _, _, advpgd = pipeline
+    _, runs = seeded_runs
+    spec = write_json(tmp_path / "grid.json", {
+        "schema_version": 1, "experiment": {"kind": "grid", "runs": [runs["a"], advpgd]},
+    })
+    out = str(tmp_path / "grid")
+    assert run_cli("experiment", "--spec", spec, "--out", out) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["eps_axis"] == [0.0, 0.05] and summary["width_axis"] == [1]
+    assert summary["missing"] == []
+
+
+def test_compare_online_cka_below_zero_exits_0(tmp_path):
+    # independent layers, whose unbiased small-batch estimate is negative
+    dump = _synthetic_dump(tmp_path, 1, 24, (6, 10, 3))
     out = str(tmp_path / "cmp")
     code = run_cli(
         "compare", "--a", dump, "--b", dump, "--metric", "online_cka",
@@ -576,8 +619,7 @@ def test_experiment_spec_fuzz_exits_with_documented_code(pipeline, tmp_path, cap
         {"kind": "evolution", "runs": [run_dir], "taps": [1, 5],
          "metric": {"name": "online_cka", "batch": 8, "passes": 1, "seed": 2}},
         {"kind": "divergence", "runs": [run_dir], "metric": {"name": "procrustes"}},
-        {"kind": "grid", "runs": [run_dir, run_dir], "eps_values": [0.0, 0.1],
-         "width_values": [1, 1], "condition": "adv"},
+        {"kind": "grid", "runs": [run_dir], "condition": "adv"},
         {"kind": "threatgrid", "runs": [run_dir, run_dir], "labels": ["a", "b"]},
     ]
     docs = [{"schema_version": 1, "experiment": base} for base in bases]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_divergence_eps0_flat_one(tiny_run, tmp_path):
     from rslab.activations import read_dump
 
     curve = experiments.divergence_curve(
-        read_dump(bp), read_dump(ap), MetricKind.linear_cka()
+        read_dump(bp), read_dump(ap), MetricKind("linear_cka")
     )
     assert np.abs(curve - 1.0).max() <= 1e-6
 
@@ -104,7 +105,7 @@ def test_divergence_probe_mismatch_raises(tiny_run, tmp_path):
     _, a2 = training.checkpoint_probe(net, p2, 1, threat, str(tmp_path / "b"), seed=0)
     with pytest.raises(ProbeMismatchError):
         experiments.divergence_curve(
-            read_dump(b1), read_dump(a2), MetricKind.linear_cka()
+            read_dump(b1), read_dump(a2), MetricKind("linear_cka")
         )
 
 
@@ -120,10 +121,10 @@ def test_divergence_refuses_one_digest_missing(tiny_run):
         k: v for k, v in adv.manifest.items() if k != "probe_digest"
     })
     with pytest.raises(ProbeMismatchError):
-        experiments.divergence_curve(benign, bare, MetricKind.linear_cka())
+        experiments.divergence_curve(benign, bare, MetricKind("linear_cka"))
     bare_benign = ActivationSet(benign.records, benign.labels)
-    curve = experiments.divergence_curve(bare_benign, bare, MetricKind.linear_cka())
-    assert np.array_equal(curve, experiments.divergence_curve(benign, adv, MetricKind.linear_cka()))
+    curve = experiments.divergence_curve(bare_benign, bare, MetricKind("linear_cka"))
+    assert np.array_equal(curve, experiments.divergence_curve(benign, adv, MetricKind("linear_cka")))
 
 
 def test_evolution_series_and_heatmaps(tiny_run, tmp_path):
@@ -178,7 +179,7 @@ def test_evolution_prepares_each_layer_once(tiny_run, tmp_path, monkeypatch):
         return prepare(self, x, name)
 
     monkeypatch.setattr(MetricKind, "prepare", counted)
-    for metric in (MetricKind.linear_cka(), MetricKind.online_cka(8, 2, 1)):
+    for metric in (MetricKind("linear_cka"), MetricKind("online_cka", 8, 2, 1)):
         prepared.clear()
         spec = experiments.ExperimentSpec(
             kind="evolution", runs=(run_dir,), metric=metric, taps=taps
@@ -187,38 +188,89 @@ def test_evolution_prepares_each_layer_once(tiny_run, tmp_path, monkeypatch):
         assert len(prepared) == len(taps) * len(epochs)
 
 
+def test_evolution_saves_each_tap_grid(tiny_run, tmp_path):
+    run_dir, _ = tiny_run
+    taps = (6, 18)
+    spec = experiments.ExperimentSpec(kind="evolution", runs=(run_dir,), taps=taps)
+    out = str(tmp_path / "evo")
+    epochs, _, heatmaps = experiments.run_evolution(spec, out)
+    import csv
+
+    for t in taps:
+        base = os.path.join(out, f"matrix_evolution_tap{t:02d}")
+        with open(base + ".csv") as fh:
+            rows = list(csv.reader(fh))
+        names = [f"epoch_{e:03d}" for e in epochs]
+        assert rows[0] == ["", *names] and [r[0] for r in rows[1:]] == names
+        values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        np.testing.assert_allclose(values, heatmaps[t], rtol=0, atol=1e-12)
+        with open(base + ".json") as fh:
+            sidecar = json.load(fh)
+        assert sidecar["n"] == 24 and sidecar["model_ids"] == ["adv", "adv"]
+        assert sidecar["conditions"] == [{"kind": "benign"}] * 2
+        assert os.path.exists(os.path.join(out, f"heatmap_evolution_tap{t:02d}.ppm"))
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["clamped"] is False
+
+
 def test_grid_single_cell_equals_crosslayer(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     xspec = experiments.ExperimentSpec(kind="crosslayer", runs=(run_dir,))
     _, score = experiments.run_crosslayer(xspec, str(tmp_path / "xl"))
-    gspec = experiments.ExperimentSpec(
-        kind="grid", runs=(run_dir,), eps_values=(0.05,), width_values=(1,)
-    )
-    grid = experiments.run_grid(gspec, str(tmp_path / "grid"))
+    gspec = experiments.ExperimentSpec(kind="grid", runs=(run_dir,))
+    out = str(tmp_path / "grid")
+    grid = experiments.run_grid(gspec, out)
     assert grid.shape == (1, 1)
     assert grid[0, 0] == pytest.approx(score)
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    # the cell is the run's own: its training threat's epsilon and its width
+    assert summary["eps_axis"] == [0.05] and summary["width_axis"] == [1]
 
 
 def test_grid_missing_cells_reported(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     gspec = experiments.ExperimentSpec(
-        kind="grid",
-        runs=(run_dir, str(tmp_path / "missing_run")),
-        eps_values=(0.0, 0.05),
-        width_values=(1, 1),
+        kind="grid", runs=(run_dir, str(tmp_path / "missing_run"))
     )
     out = str(tmp_path / "grid")
     grid = experiments.run_grid(gspec, out)
-    assert np.isnan(grid).sum() == 1
+    # a run that cannot be read takes no cell
+    assert grid.shape == (1, 1) and not np.isnan(grid).any()
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert len(summary["missing"]) == 1
 
 
-def test_grid_rejects_two_runs_in_one_cell(tmp_path):
-    gspec = experiments.ExperimentSpec(
-        kind="grid", runs=("a", "b", "c"), eps_values=(0.1, 0.1, 0.2), width_values=(1, 1, 1)
-    )
+def _without_final_checkpoint(trace: str) -> str:
+    lines = trace.splitlines(keepends=True)
+    return "".join(lines[:-1] + [lines[-1].replace("checkpoints/epoch_003.rsck", "")])
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("config.json", lambda _: "[]"),
+    ("config.json", lambda _: '{"training": {"method": "nope"}}'),
+    ("trace.csv", _without_final_checkpoint),
+], ids=["config-not-object", "config-bad-method", "no-final-checkpoint"])
+def test_grid_lists_a_run_it_cannot_read_as_missing(tiny_run, tmp_path, name, corrupt):
+    run_dir, _ = tiny_run
+    bad = str(tmp_path / "bad_run")
+    shutil.copytree(run_dir, bad)
+    path = os.path.join(bad, name)
+    with open(path) as fh:
+        content = corrupt(fh.read())
+    with open(path, "w") as fh:
+        fh.write(content)
+    out = str(tmp_path / "grid")
+    grid = experiments.run_grid(experiments.ExperimentSpec(kind="grid", runs=(bad,)), out)
+    assert grid.shape == (0, 0)
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert [m["run"] for m in json.load(fh)["missing"]] == [bad]
+
+
+def test_grid_rejects_two_runs_in_one_cell(tiny_run, tmp_path):
+    run_dir, _ = tiny_run
+    gspec = experiments.ExperimentSpec(kind="grid", runs=(run_dir, run_dir))
     out = str(tmp_path / "grid")
     with pytest.raises(ConfigError):
         experiments.run_grid(gspec, out)
@@ -274,20 +326,20 @@ def test_experiment_spec_validation():
         {"kind": "threatgrid", "runs": ["a", "b", "c"], "labels": ["x", "y"]},
         {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y", "z"]},
         # fields the kind does not read
-        {"kind": "evolution", "runs": ["r"], "condition": "adv", "labels": ["x"],
-         "eps_values": [0.1]},
+        {"kind": "evolution", "runs": ["r"], "condition": "adv", "labels": ["x"]},
         {"kind": "evolution", "runs": ["r"], "condition": "adv"},
         {"kind": "evolution", "runs": ["r"], "min_lag": 1},
-        {"kind": "evolution", "runs": ["r"], "width_values": [1]},
         {"kind": "threatgrid", "runs": ["a", "b"], "condition": "adv"},
         {"kind": "threatgrid", "runs": ["a", "b"], "taps": [1]},
         {"kind": "divergence", "runs": ["r"], "condition": "adv"},
         {"kind": "divergence", "runs": ["r"], "min_lag": 2},
         {"kind": "crosslayer", "runs": ["r"], "labels": ["x"]},
         {"kind": "crosslayer", "runs": ["r"], "taps": [1]},
-        {"kind": "crosslayer", "runs": ["r"], "eps_values": [0.1]},
         {"kind": "grid", "runs": ["r"], "labels": ["x"]},
         {"kind": "grid", "runs": ["r"], "taps": [0]},
+        # a grid run's cell is read from the run, never given
+        {"kind": "grid", "runs": ["r"], "eps_values": [0.1]},
+        {"kind": "grid", "runs": ["r"], "width_values": [1]},
         # run counts outside the kind's range
         {"kind": "crosslayer", "runs": ["a", "b"]},
         {"kind": "divergence", "runs": []},
@@ -299,8 +351,7 @@ def test_experiment_spec_validation():
     # each kind's own fields, and every field at its default
     for good in (
         {"kind": "crosslayer", "runs": ["r"], "condition": "adv", "min_lag": 2},
-        {"kind": "grid", "runs": ["r"], "condition": "adv", "min_lag": 1,
-         "eps_values": [0.1], "width_values": [1]},
+        {"kind": "grid", "runs": ["r"], "condition": "adv", "min_lag": 1},
         {"kind": "evolution", "runs": ["r"], "taps": [1]},
         {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y"]},
         {"kind": "divergence", "runs": ["r"], "condition": "benign", "labels": [],

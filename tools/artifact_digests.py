@@ -72,11 +72,12 @@ def produce(out: str, inputs: str) -> None:
         run("record", "--model", os.path.join(runs[name], "checkpoints", "epoch_002.rsck"),
             *common, "--out", dumps[-1])
     for metric in METRICS:
-        run("compare", "--a", dumps[0], "--b", dumps[1], "--metric", metric,
-            "--batch", "16", "--passes", "2", "--out", os.path.join(out, "compare", metric))
+        online = ["--batch", "16", "--passes", "2"] if metric == "online_cka" else []
+        run("compare", "--a", dumps[0], "--b", dumps[1], "--metric", metric, *online,
+            "--out", os.path.join(out, "compare", metric))
     experiments = {
         "crosslayer": {"runs": [runs["advpgd"]], "metric": {"name": "procrustes"}},
-        "grid": {"runs": [runs["standard"], runs["advpgd"]], "eps_values": [0.0, 0.05]},
+        "grid": {"runs": [runs["standard"], runs["advpgd"]]},
         "divergence": {"runs": [runs["advpgd"]]},
         "evolution": {"runs": [runs["advpgd"]]},
         "threatgrid": {"runs": [runs["standard"], runs["trades"]]},
