@@ -35,7 +35,6 @@ import numpy as np
 from . import container, nets
 from .errors import (
     AlignmentError,
-    FormatError,
     ManifestError,
     ProbeMismatchError,
     ShapeError,
@@ -164,14 +163,12 @@ def read_dump(path) -> ActivationSet:
     manifest = rd.trailer()
     declared = manifest.get("layers")
     if declared is not None and declared != [name for name, _, _ in records]:
-        raise ManifestError("manifest layer list disagrees with the record names")
+        raise ManifestError(f"{path}: manifest layer list disagrees with the record names")
     try:
         recs = [ActivationRecord(*r) for r in records]
         return ActivationSet(recs, labels, manifest)
-    except FormatError:
-        raise
     except ValidationError as exc:
-        raise ManifestError(f"records violate set invariants: {exc}") from exc
+        raise ManifestError(f"{path}: records violate set invariants: {exc}") from exc
 
 
 def record_activations(

@@ -151,13 +151,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _model_and_points(args) -> tuple:
+    """The --model net and the first --limit (0: all) validation points of --data."""
+    net, val = nets.load_checkpoint(args.model), load_dataset(args.data).val
+    return net, Batch(val.inputs[: args.limit or None], val.labels[: args.limit or None])
+
+
 def cmd_attack(args) -> int:
     _check_out(args.out, args.force)
-    net = nets.load_checkpoint(args.model)
-    data = load_dataset(args.data)
-    sub = data.val
-    if args.limit:
-        sub = Batch(sub.inputs[: args.limit], sub.labels[: args.limit])
+    net, sub = _model_and_points(args)
     threat = ThreatModel(args.threat, args.eps, args.steps)
     os.makedirs(args.out, exist_ok=True)
     benign, robust = evaluate_accuracy(net, sub, threat, seed=args.seed)
@@ -178,14 +180,9 @@ def cmd_attack(args) -> int:
 
 def cmd_record(args) -> int:
     _check_out(args.out, args.force)
-    net = nets.load_checkpoint(args.model)
-    data = load_dataset(args.data)
-    sub = data.val
-    if args.limit:
-        sub = Batch(sub.inputs[: args.limit], sub.labels[: args.limit])
+    net, sub = _model_and_points(args)
     aset = record_activations(net, sub, model_id=os.path.basename(args.model), seed=args.seed)
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_dump(aset, args.out)
     print(json.dumps({"out": args.out, "layers": len(aset.records), "n": aset.n}))
     return 0
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a network per a config file")
     t.add_argument("--config", required=True)
-    t.add_argument("--data", help="dataset .npz (overrides config)")
+    t.add_argument("--data", help="RSDS dataset from gen-data (overrides config)")
     t.add_argument("--seed", type=int, default=None, help="override config seed")
     t.add_argument("--out", required=True)
     t.add_argument("--force", action="store_true")

@@ -1,4 +1,5 @@
-"""Shared framing of rslab's binary containers: RSAM dumps and RSCK checkpoints.
+"""Shared framing of rslab's binary containers: RSAM dumps, RSCK checkpoints
+and RSDS datasets.
 
 Layout (little-endian):
 
@@ -9,9 +10,9 @@ Layout (little-endian):
 
 Names inside records are u16-length-prefixed utf-8, and array payloads are
 raw little-endian items. The footer must point at the trailer and end the
-file. `Reader` raises a FormatError subclass for every violation, so a
-corrupt file never surfaces as a decoding or struct error; a float payload
-that holds NaN or infinity is one.
+file. `Reader` raises a FormatError subclass, its message led by the file's
+path, for every violation, so a corrupt file never surfaces as a decoding or
+struct error; a float payload that holds NaN or infinity is one.
 """
 from __future__ import annotations
 
@@ -49,18 +50,18 @@ class Reader:
         with open(path, "rb") as fh:
             self.buf = fh.read()
         self.pos = 0
-        self.kind = magic.decode("ascii")
+        self.where = f"{path}: {magic.decode()}"  # every error message starts with it
         if self.take(len(magic)) != magic:
-            raise BadMagicError(f"not an {self.kind} file")
+            raise BadMagicError(f"{path}: not an {magic.decode()} file")
         (found,) = self.unpack("<H")
         if found != version:
-            raise VersionError(f"unsupported {self.kind} version {found}")
+            raise VersionError(f"{self.where} version {found} is not supported")
         (self.count,) = self.unpack("<I")
 
     def _need(self, nbytes: int) -> None:
         if self.pos + nbytes > len(self.buf):
             raise TruncatedError(
-                f"{self.kind}: need {nbytes} bytes at offset {self.pos}, "
+                f"{self.where}: need {nbytes} bytes at offset {self.pos}, "
                 f"file has {len(self.buf)}"
             )
 
@@ -70,17 +71,14 @@ class Reader:
         return self.buf[self.pos - nbytes : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        self._need(size)
-        self.pos += size
-        return struct.unpack_from(fmt, self.buf, self.pos - size)
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def name(self) -> str:
         (length,) = self.unpack("<H")
         try:
             return self.take(length).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ManifestError(f"{self.kind}: record name is not valid UTF-8: {exc}") from exc
+            raise ManifestError(f"{self.where}: record name is not valid UTF-8: {exc}") from exc
 
     def array(self, dtype: str, shape) -> np.ndarray:
         """Read-only view of the next `shape` payload of `dtype` items, no copy."""
@@ -90,9 +88,12 @@ class Reader:
         out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.pos)
         # checked before the caller's cast, which warns on a signalling NaN
         if out.dtype.kind == "f" and not np.isfinite(out).all():
-            raise FormatError(f"{self.kind}: payload at offset {self.pos} holds NaN or infinity")
+            raise FormatError(f"{self.where}: payload at offset {self.pos} holds NaN or infinity")
         self.pos += nbytes
-        return out.reshape(shape)
+        try:
+            return out.reshape(shape)
+        except ValueError as exc:  # an empty payload whose shape numpy cannot index
+            raise FormatError(f"{self.where}: payload shape {tuple(shape)} is invalid") from exc
 
     def trailer(self) -> dict:
         """The JSON trailer, which must be the footer's target and end the file."""
@@ -101,14 +102,14 @@ class Reader:
         try:
             doc = json.loads(self.take(length).decode("utf-8"))
         except (ValueError, RecursionError) as exc:
-            raise ManifestError(f"{self.kind}: trailer is not valid JSON: {exc}") from exc
+            raise ManifestError(f"{self.where}: trailer is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ManifestError(f"{self.kind}: trailer must be a JSON object")
+            raise ManifestError(f"{self.where}: trailer must be a JSON object")
         (footer,) = self.unpack("<Q")
         if footer != offset:
             raise ManifestError(
-                f"{self.kind}: footer offset {footer} does not point at the trailer ({offset})"
+                f"{self.where}: footer offset {footer} does not point at the trailer ({offset})"
             )
         if self.pos != len(self.buf):
-            raise ManifestError(f"{self.kind}: {len(self.buf) - self.pos} trailing bytes after footer")
+            raise ManifestError(f"{self.where}: {len(self.buf) - self.pos} trailing bytes after footer")
         return doc

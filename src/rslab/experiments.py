@@ -108,17 +108,19 @@ def run_crosslayer(spec: ExperimentSpec, out_dir: str):
 
 
 def _run_cell(run_dir: str) -> tuple:
-    """A run's (epsilon, width): its training threat's epsilon, 0.0 for a
-    standard run, and its final checkpoint's width factor."""
+    """A run's (epsilon, width) cell and its (method, threat kind), which is
+    None for a standard run."""
     config, trace = load_run(run_dir)
     if not isinstance(config, dict):
         raise ValidationError(f"run {run_dir}: config.json must be an object")
-    threat = TrainingConfig.from_json(config.get("training")).threat
+    training = TrainingConfig.from_json(config.get("training"))
     checkpoint = trace.entries[-1].checkpoint_path
     if checkpoint is None:
         raise ValidationError(f"run {run_dir} has no final checkpoint")
+    threat = training.threat
     eps = 0.0 if threat is None else float(threat.epsilon)
-    return eps, nets.load_checkpoint(checkpoint).width_factor
+    width = nets.load_checkpoint(checkpoint).width_factor
+    return (eps, width), None if threat is None else (training.method, threat.kind)
 
 
 def run_grid(spec: ExperimentSpec, out_dir: str):
@@ -126,17 +128,22 @@ def run_grid(spec: ExperimentSpec, out_dir: str):
     the run by `_run_cell`; a cell no run fills is NaN.
 
     A run that cannot be read is listed under `missing` and takes no cell;
-    two runs in one cell raise ConfigError before any output is written.
+    two runs in one cell, or runs of two (method, threat kind) pairs, raise
+    ConfigError before any output is written. Standard runs join any grid.
     """
     scores = {}
+    procedures = set()
     missing = []
     for run in spec.runs:
         try:
-            cell = _run_cell(run)
+            cell, procedure = _run_cell(run)
             aset = _final_probe(run, spec.condition)
         except (OSError, ConfigError, ValidationError) as exc:
             missing.append({"run": run, "error": str(exc)})
             continue
+        procedures.add(procedure)
+        if len(procedures - {None}) > 1:
+            raise ConfigError(f"grid mixes (method, threat kind) {sorted(procedures - {None})}")
         if cell in scores:
             raise ConfigError(f"grid has two runs in the (epsilon, width) cell {cell}")
         sm = crosslayer_matrix(aset, aset, spec.metric)

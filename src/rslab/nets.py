@@ -664,7 +664,7 @@ def load_checkpoint(path) -> NetworkGraph:
         name = rd.name()
         (ndim,) = rd.unpack("<B")
         if ndim > 4:
-            raise ManifestError(f"tensor {name!r} declares {ndim} > 4 dims")
+            raise ManifestError(f"{path}: tensor {name!r} declares {ndim} > 4 dims")
         tensors[name] = rd.array("<f4", rd.unpack(f"<{ndim}Q")).astype(np.float64)
     trailer = rd.trailer()
     try:
@@ -683,7 +683,7 @@ def load_checkpoint(path) -> NetworkGraph:
             seed=trailer.get("seed"),
         )
     except (KeyError, TypeError, ValueError, RslabError) as exc:
-        raise ManifestError(f"RSCK trailer does not match the stored network: {exc!r}") from exc
+        raise ManifestError(f"{path}: trailer does not match the stored network: {exc!r}") from exc
 
 
 def round_params_f32(net: NetworkGraph) -> NetworkGraph:

@@ -8,24 +8,31 @@ it. Run directories follow the layout
     trace.csv                      epoch, losses, accuracies
     checkpoints/epoch_NNN.rsck
     probes/epoch_NNN_{benign,adv}.rsam
+
+A dataset is an RSDS v1 `container` file, trailer `{"seed", "spec"}`, whose
+body is, per split ("train", then "val"), little-endian:
+
+    name | u64[4] shape (n, c, h, w) | f32[n*c*h*w] inputs | i32[n] labels
 """
 from __future__ import annotations
 
 import csv
-import json
 import os
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import errors, nets
+from . import container, errors, nets
 from .activations import record_activations, write_dump
-from .errors import ConfigError, FormatError, NumericalError, ValidationError
+from .errors import ConfigError, FormatError, NumericalError, RslabError
 from .nets import Batch, NetworkGraph
 from .threats import ThreatModel, _perturb, generate
 
 METHODS = ("standard", "advpgd", "trades")
 TRADES_KINDS = ("linf", "l2")
+DATASET_MAGIC = b"RSDS"
+DATASET_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -110,19 +117,15 @@ class EpochTrace:
     """Per-epoch losses, accuracies, and artifact paths of one run."""
 
     entries: list = field(default_factory=list)
-    run_dir: str | None = None
-
-    def _rel(self, p) -> str:
-        # artifact paths are stored relative to the run dir so a run is
-        # byte-identical regardless of where it was written
-        if not p:
-            return ""
-        if self.run_dir:
-            return os.path.relpath(p, self.run_dir)
-        return p
 
     def save_csv(self, path) -> None:
-        # cells are formatted here, so they keep their own precision
+        # relative paths keep a run's bytes independent of where it was
+        # written; cells are formatted here, so they keep their own precision
+        run_dir = os.path.dirname(str(path)) or "."
+
+        def rel(p):
+            return os.path.relpath(p, run_dir) if p else ""
+
         errors.write_csv(path, [
             "epoch", "train_loss", "val_loss", "val_loss_adv",
             "benign_acc", "robust_acc", "checkpoint", "probe_benign", "probe_adv",
@@ -131,8 +134,7 @@ class EpochTrace:
             "" if e.val_loss_adv is None else f"{e.val_loss_adv:.8g}",
             f"{e.benign_acc:.6g}",
             "" if e.robust_acc is None else f"{e.robust_acc:.6g}",
-            self._rel(e.checkpoint_path), self._rel(e.probe_benign_path),
-            self._rel(e.probe_adv_path),
+            rel(e.checkpoint_path), rel(e.probe_benign_path), rel(e.probe_adv_path),
         ] for e in self.entries])
 
     @classmethod
@@ -140,15 +142,13 @@ class EpochTrace:
         """Read a trace written by `save_csv`; malformed content raises FormatError."""
         run_dir = os.path.dirname(str(path)) or "."
 
-        def resolve(p):
-            if not p:
-                return None
-            return p if os.path.isabs(p) else os.path.join(run_dir, p)
+        def resolve(p):  # an absolute p is kept as it is
+            return os.path.join(run_dir, p) if p else None
 
         def optional(v):
             return float(v) if v else None
 
-        trace = cls(run_dir=run_dir)
+        trace = cls()
         with open(path, newline="") as fh:
             try:
                 for row in csv.DictReader(fh):
@@ -267,35 +267,34 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> Dataset:
 
 
 def save_dataset(data: Dataset, path) -> None:
-    np.savez(
-        path,
-        train_x=data.train.inputs.astype(np.float32),
-        train_y=data.train.labels,
-        val_x=data.val.inputs.astype(np.float32),
-        val_y=data.val.labels,
-        spec=json.dumps(data.spec.to_json(), sort_keys=True),
-        seed=data.seed,
-    )
+    """Write `data` to an RSDS file at exactly `path`, inputs as float32."""
+    body = []
+    for name, split in (("train", data.train), ("val", data.val)):
+        body.append(container.pack_name(name))
+        body.append(struct.pack("<4Q", *split.inputs.shape))
+        body.append(np.ascontiguousarray(split.inputs, dtype="<f4"))
+        body.append(np.ascontiguousarray(split.labels, dtype="<i4"))
+    trailer = {"spec": data.spec.to_json(), "seed": data.seed}
+    container.write(path, DATASET_MAGIC, DATASET_VERSION, 2, body, trailer)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by `save_dataset`.
+    """Read an RSDS file written by `save_dataset`; inputs widen to float64.
 
     A missing or unreadable file raises OSError; any malformed content
     raises FormatError.
     """
-    with open(path, "rb") as fh:
-        try:
-            z = np.load(fh, allow_pickle=False)
-            spec = DatasetSpec.from_json(json.loads(str(z["spec"])))
-            return Dataset(
-                Batch(z["train_x"].astype(np.float64), z["train_y"]),
-                Batch(z["val_x"].astype(np.float64), z["val_y"]),
-                spec,
-                int(z["seed"]),
-            )
-        except Exception as exc:  # np.load and zipfile raise many types on bad bytes
-            raise FormatError(f"{path}: not a valid dataset: {exc!r}") from exc
+    rd = container.Reader(path, DATASET_MAGIC, DATASET_VERSION)
+    splits = {}
+    for _ in range(rd.count):
+        name, shape = rd.name(), rd.unpack("<4Q")
+        splits[name] = (rd.array("<f4", shape), rd.array("<i4", shape[:1]))
+    trailer = rd.trailer()
+    try:
+        spec = DatasetSpec.from_json(trailer["spec"])
+        return Dataset(Batch(*splits["train"]), Batch(*splits["val"]), spec, int(trailer["seed"]))
+    except (KeyError, TypeError, ValueError, RslabError) as exc:
+        raise FormatError(f"{path}: not a valid dataset: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def train(
     velocity = [
         {k: np.zeros_like(v) for k, v in p.items()} for p in net.params
     ]
-    trace = EpochTrace(run_dir=out_dir)
+    trace = EpochTrace()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
@@ -491,6 +490,4 @@ def load_run(run_dir: str):
     A missing file raises OSError; malformed content raises FormatError.
     """
     config = errors.read_json(os.path.join(run_dir, "config.json"), FormatError)
-    trace = EpochTrace.load_csv(os.path.join(run_dir, "trace.csv"))
-    trace.run_dir = run_dir
-    return config, trace
+    return config, EpochTrace.load_csv(os.path.join(run_dir, "trace.csv"))

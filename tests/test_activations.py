@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 import warnings
@@ -114,6 +115,20 @@ def test_oversized_record_header(tmp_path):
         act.read_dump(path)
 
 
+def test_empty_payload_with_unindexable_shape(tmp_path):
+    # n = 0 leaves no payload bytes to run short of, and numpy cannot shape
+    # an array with a dimension of 2**63
+    path = tmp_path / "empty.rsam"
+    s = act.ActivationSet([act.ActivationRecord("only", 0, np.ones((4, 2)))], np.zeros(4, int))
+    act.write_dump(s, path)
+    raw = bytearray(path.read_bytes())
+    off = 4 + 2 + 4 + 2 + 4 + 4  # the n field, as in test_oversized_record_header
+    raw[off : off + 16] = struct.pack("<QQ", 0, 1 << 63)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="payload shape"):
+        act.read_dump(path)
+
+
 def test_manifest_record_count_disagreement(tmp_path):
     path = tmp_path / "m.rsam"
     rng = np.random.default_rng(6)
@@ -159,18 +174,17 @@ def _write_rsck(rng, path):
     nets.save_checkpoint(net, path)
 
 
-def _write_npz(rng, path):
+def _write_rsds(rng, path):
     spec = training.DatasetSpec(classes=2, size=4, n_train=6, n_val=4)
     data = training.make_synthetic_dataset(spec, int(rng.integers(0, 1000)))
     training.save_dataset(data, path)
 
 
-# writer and reader of each file format, for the shared corruption tests;
-# a dataset is an npz (zip) archive, named so that np.savez adds no suffix
+# writer and reader of each file format, for the shared corruption tests
 FORMATS = {
     "rsam": (_write_rsam, act.read_dump),
     "rsck": (_write_rsck, nets.load_checkpoint),
-    "npz": (_write_npz, training.load_dataset),
+    "rsds": (_write_rsds, training.load_dataset),
 }
 
 
@@ -189,8 +203,8 @@ def test_fuzz_corrupted_headers_never_crash(tmp_path, fmt):
         path.write_bytes(bytes(raw))
         try:
             read(path)
-        except FormatError:
-            pass  # any format error is acceptable; crashes are not
+        except FormatError as exc:  # any format error is acceptable; crashes are not
+            assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -202,17 +216,20 @@ def test_truncation_fuzz(tmp_path, fmt):
     pristine = path.read_bytes()
     for cut in range(0, len(pristine) - 1, max(1, len(pristine) // 64)):
         path.write_bytes(pristine[:cut])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             read(path)
 
 
 # offset of the first payload item: the 10-byte header, then for RSAM the
-# name "layer00" | u32 layer_index | u64 n | u64 p, and for RSCK the name
-# "1.b" (a zero bias) | u8 ndim | u64 shape
-FIRST_PAYLOAD = {"rsam": 10 + 2 + 7 + 4 + 8 + 8, "rsck": 10 + 2 + 3 + 1 + 8}
+# name "layer00" | u32 layer_index | u64 n | u64 p, for RSCK the name "1.b"
+# (a zero bias) | u8 ndim | u64 shape, and for RSDS the name "train" | u64[4]
+# shape
+FIRST_PAYLOAD = {
+    "rsam": 10 + 2 + 7 + 4 + 8 + 8, "rsck": 10 + 2 + 3 + 1 + 8, "rsds": 10 + 2 + 5 + 32,
+}
 
 
-@pytest.mark.parametrize("fmt", sorted(FIRST_PAYLOAD))
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_non_finite_payload_rejected_without_warning(tmp_path, fmt):
     write, read = FORMATS[fmt]
     path = tmp_path / f"nan.{fmt}"
@@ -231,9 +248,7 @@ def test_non_finite_payload_rejected_without_warning(tmp_path, fmt):
                 read(path)
 
 
-# not datasets: zip readers find the archive from its end and accept
-# trailing bytes, and 32 of 32 datasets with bytes appended loaded
-@pytest.mark.parametrize("fmt", ["rsam", "rsck"])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_appended_bytes_rejected(tmp_path, fmt):
     write, read = FORMATS[fmt]
     rng = np.random.default_rng(13)
@@ -246,11 +261,14 @@ def test_appended_bytes_rejected(tmp_path, fmt):
             read(path)
 
 
-# sha256 of the files below as written by the RSAM v2 and the first RSCK
-# writer; any change to either on-disk format shows up here
+# sha256 of the files below as written by the RSAM v2, the first RSCK and
+# the RSDS v1 writer; any change to an on-disk format shows up here. The
+# RSDS value is also that of the same bytes assembled field by field with
+# `struct`.
 GOLDEN_SHA256 = {
     "rsam": "0660afd3ace702da0b622863aa9455b724b21ff1330ef30d470399b7edcabac9",
     "rsck": "fb4663677cf56f4666d31106a408ea285a74e47d1bc730292bbbdfe3e3a56c14",
+    "rsds": "359eb1b0175939d9c263ba759afeb88e45c76b9770f8b8fae0e5e774656d9d75",
 }
 
 
@@ -275,8 +293,15 @@ def test_golden_bytes(tmp_path):
         {}, {}, {}, {},
         {"w": np.linspace(-2, 2, 24).reshape(8, 3), "b": np.array([0.125, 0.25, -1.0])},
     ]
+    data = training.Dataset(
+        nets.Batch(np.arange(32.0).reshape(2, 1, 4, 4) / 32, np.array([1, 0])),
+        nets.Batch(np.full((1, 1, 4, 4), 0.75), np.array([1])),
+        training.DatasetSpec(classes=2, size=4, n_train=2, n_val=1),
+        seed=11,
+    )
     act.write_dump(dump, tmp_path / "g.rsam")
     nets.save_checkpoint(net, tmp_path / "g.rsck", epoch=4)
+    training.save_dataset(data, tmp_path / "g.rsds")
     for fmt, want in GOLDEN_SHA256.items():
         got = hashlib.sha256((tmp_path / f"g.{fmt}").read_bytes()).hexdigest()
         assert got == want, fmt
@@ -287,6 +312,11 @@ def test_golden_bytes(tmp_path):
         assert pa.keys() == pb.keys()
         for k in pa:
             assert np.array_equal(pb[k], pa[k].astype(np.float32).astype(np.float64))
+    back = training.load_dataset(tmp_path / "g.rsds")
+    assert back.spec == data.spec and back.seed == 11
+    for split in ("train", "val"):
+        got, want = getattr(back, split), getattr(data, split)
+        assert np.array_equal(got.inputs, want.inputs) and np.array_equal(got.labels, want.labels)
 
 
 def test_memory_budget_of_record_write_and_read(tmp_path):

@@ -18,7 +18,7 @@ def test_every_artifact_kind_is_byte_identical_across_runs(tmp_path, capsys):
     assert printed[0] == printed[1]
     paths = [line.split("  ", 1)[1] for line in printed[0].splitlines()]
     assert {pathlib.Path(p).suffix for p in paths} == {
-        ".npz", ".rsck", ".rsam", ".csv", ".json", ".ppm"
+        ".rsds", ".rsck", ".rsam", ".csv", ".json", ".ppm"
     }
     for kind in ("crosslayer", "grid", "divergence", "evolution", "threatgrid"):
         assert f"experiments/{kind}/summary.json" in paths

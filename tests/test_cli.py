@@ -22,7 +22,7 @@ def write_json(path, doc):
 def pipeline(tmp_path_factory):
     """gen-data + a short training run shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    data_path = str(root / "data.npz")
+    data_path = str(root / "data.rsds")
     spec_path = write_json(
         root / "dspec.json",
         {
@@ -62,6 +62,23 @@ def test_gen_data_outputs(pipeline):
 
     data = load_dataset(data_path)
     assert data.train.n == 160 and data.val.n == 64
+
+
+def test_gen_data_writes_exactly_its_out_path(tmp_path, capsys):
+    data = str(tmp_path / "mydata")
+    spec = write_json(tmp_path / "tiny.json", {
+        "schema_version": 1, "dataset": {"classes": 2, "size": 4, "n_train": 16, "n_val": 8},
+    })
+    assert run_cli("gen-data", "--spec", spec, "--out", data) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == data
+    assert sorted(os.listdir(tmp_path)) == ["mydata", "tiny.json"]
+    assert run_cli("gen-data", "--spec", spec, "--out", data) == 2  # no --force
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    config = write_json(tmp_path / "train.json", {
+        "schema_version": 1, "arch": "mlp-3",
+        "training": {"epochs": 1, "batch_size": 16, "probe_size": 8, "val_adv_subset": 8},
+    })
+    assert run_cli("train", "--config", config, "--data", data, "--out", str(tmp_path / "run")) == 0
 
 
 def test_gen_data_refuses_overwrite(pipeline, capsys):
@@ -505,12 +522,16 @@ def test_validation_failure_exit_code(pipeline, tmp_path, capsys):
 
 def test_attack_on_corrupt_dataset_exits_5(pipeline, tmp_path, capsys):
     _, data_path, _, run_dir = pipeline
-    not_zip = tmp_path / "not_zip.npz"
-    not_zip.write_bytes(b"not a zip archive")
-    no_spec = tmp_path / "no_spec.npz"
-    with np.load(data_path) as z:
-        np.savez(no_spec, **{k: z[k] for k in z.files if k != "spec"})
-    for i, bad in enumerate((not_zip, no_spec)):
+    from rslab.training import load_dataset, save_dataset
+
+    not_rsds = tmp_path / "not_rsds"
+    not_rsds.write_bytes(b"not a dataset file")
+    no_spec = tmp_path / "no_spec"
+    save_dataset(load_dataset(data_path), no_spec)
+    raw = no_spec.read_bytes()
+    assert raw.count(b'"spec"') == 1  # the trailer's key
+    no_spec.write_bytes(raw.replace(b'"spec"', b'"spez"'))
+    for i, bad in enumerate((not_rsds, no_spec)):
         code = run_cli(
             "attack", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
             "--threat", "linf", "--eps", "0.1", "--steps", "1",
@@ -521,13 +542,36 @@ def test_attack_on_corrupt_dataset_exits_5(pipeline, tmp_path, capsys):
         assert err["error"] == "validation" and str(bad) in err["message"]
 
 
+def test_npz_dataset_of_earlier_versions_exits_5(pipeline, tmp_path, capsys):
+    # written as gen-data wrote datasets before they became RSDS files
+    _, data_path, _, run_dir = pipeline
+    from rslab.training import load_dataset
+
+    data = load_dataset(data_path)
+    old = str(tmp_path / "old.npz")
+    np.savez(
+        old,
+        train_x=data.train.inputs.astype(np.float32), train_y=data.train.labels,
+        val_x=data.val.inputs.astype(np.float32), val_y=data.val.labels,
+        spec=json.dumps(data.spec.to_json(), sort_keys=True), seed=data.seed,
+    )
+    code = run_cli(
+        "record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
+        "--data", old, "--out", str(tmp_path / "rec.rsam"),
+    )
+    assert code == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and old in err["message"]
+
+
 def test_non_finite_dataset_exits_5(pipeline, tmp_path, capsys):
     _, data_path, config_path, run_dir = pipeline
-    bad = str(tmp_path / "nan.npz")
-    with np.load(data_path) as z:
-        arrays = {k: z[k] for k in z.files}
-    arrays["val_x"][0, 0, 0, 0] = np.nan  # one pixel of the first val point
-    np.savez(bad, **arrays)
+    from rslab.training import load_dataset, save_dataset
+
+    bad = str(tmp_path / "nan")
+    data = load_dataset(data_path)
+    data.val.inputs[0, 0, 0, 0] = np.nan  # one pixel of the first val point
+    save_dataset(data, bad)
     model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
     for argv in (
         ["attack", "--model", model, "--threat", "linf", "--eps", "0.1", "--steps", "1",

@@ -277,6 +277,43 @@ def test_grid_rejects_two_runs_in_one_cell(tiny_run, tmp_path):
     assert not os.path.exists(out)
 
 
+def _run_trained_as(run_dir, dest, **training_fields):
+    """A copy of `run_dir` whose config.json says it was trained with `training_fields`."""
+    shutil.copytree(run_dir, dest)
+    path = os.path.join(dest, "config.json")
+    with open(path) as fh:
+        config = json.load(fh)
+    config["training"].update(training_fields)
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return str(dest)
+
+
+@pytest.mark.parametrize("training_fields", [
+    # another cell, but linf and l2 epsilons would share one axis
+    {"threat": {"kind": "l2", "epsilon": 0.5, "steps": 3}},
+    # the same (epsilon, width) cell, from another training procedure
+    {"method": "trades"},
+], ids=["threat-kind", "method"])
+def test_grid_rejects_runs_of_two_procedures(tiny_run, tmp_path, training_fields):
+    run_dir, _ = tiny_run
+    other = _run_trained_as(run_dir, tmp_path / "other", **training_fields)
+    out = str(tmp_path / "grid")
+    with pytest.raises(ConfigError, match=r"\(method, threat kind\)"):
+        experiments.run_grid(experiments.ExperimentSpec(kind="grid", runs=(run_dir, other)), out)
+    assert not os.path.exists(out)
+
+
+def test_grid_takes_a_standard_run_beside_any_procedure(tiny_run, tmp_path):
+    run_dir, _ = tiny_run
+    standard = _run_trained_as(run_dir, tmp_path / "std", method="standard", threat=None)
+    spec = experiments.ExperimentSpec(kind="grid", runs=(standard, run_dir))
+    out = str(tmp_path / "grid")
+    assert experiments.run_grid(spec, out).shape == (2, 1)
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["eps_axis"] == [0.0, 0.05]
+
+
 def test_threatgrid_pair_means(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     spec = experiments.ExperimentSpec(

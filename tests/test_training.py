@@ -133,7 +133,7 @@ def test_render_matches_per_image_oracle(spec_kw, n, seed):
 def test_dataset_save_load_roundtrip(tmp_path):
     spec = training.DatasetSpec(n_train=30, n_val=10)
     data = training.make_synthetic_dataset(spec, seed=3)
-    path = tmp_path / "d.npz"
+    path = tmp_path / "d.rsds"
     training.save_dataset(data, path)
     loaded = training.load_dataset(path)
     assert np.array_equal(
@@ -141,6 +141,11 @@ def test_dataset_save_load_roundtrip(tmp_path):
         data.train.inputs.astype(np.float32).astype(np.float64),
     )
     assert loaded.spec == data.spec
+    assert np.array_equal(loaded.val.inputs, data.val.inputs.astype(np.float32))
+    for split in ("train", "val"):
+        labels = getattr(loaded, split).labels
+        assert labels.dtype == np.int64 and np.array_equal(labels, getattr(data, split).labels)
+    assert loaded.seed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def produce(out: str, inputs: str) -> None:
         if main(list(argv)) != 0:
             raise RuntimeError(f"rslab {' '.join(argv)} failed")
 
-    data = os.path.join(out, "data.npz")
+    data = os.path.join(out, "data.rsds")
     run("gen-data", "--spec", _json(os.path.join(inputs, "data.json"), {"dataset": DATASET}),
         "--seed", "0", "--out", data)
     runs = {}
