@@ -38,24 +38,13 @@ from .nets import (
     make_network,
     save_checkpoint,
 )
-from .numerics import (
-    center_columns,
-    frobenius_norm,
-    gram_linear,
-    nuclear_norm,
-    svd_truncate,
-)
+from .numerics import center_columns, svd_truncate
 from .simmetrics import (
     MetricKind,
     SimilarityMatrix,
     block_structure_score,
     class_cka_decomposition,
     crosslayer_matrix,
-    linear_cka,
-    mean_cca,
-    online_cka,
-    procrustes_similarity,
-    svcca,
 )
 from .threats import AdversarialBatch, ThreatModel, evaluate_accuracy, generate
 from .training import (

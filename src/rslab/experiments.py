@@ -265,10 +265,17 @@ def run_evolution(spec: ExperimentSpec, out_dir: str):
 
 
 def run_threatgrid(spec: ExperimentSpec, out_dir: str):
-    """Pairwise benign cross-layer similarity between per-threat models."""
+    """Pairwise benign cross-layer similarity between per-threat models.
+
+    Each run's label, given or its directory's name, must be distinct and
+    nonempty and hold no '/' or '|'; else ConfigError before any output."""
     labels = spec.labels or tuple(os.path.basename(r.rstrip("/")) for r in spec.runs)
     if len(set(labels)) != len(labels):
         raise ConfigError(f"threatgrid labels are not distinct: {list(labels)}")
+    # a label names output files and, joined by "|", the pair_means keys
+    bad = [label for label in labels if not label or "/" in label or "|" in label]
+    if bad:
+        raise ConfigError(f"threatgrid labels must be nonempty, without '/' or '|': {bad}")
     sets = {}
     missing = []
     for label, run in zip(labels, spec.runs):

@@ -1,9 +1,11 @@
 """Dense float64 matrix primitives used by the similarity metrics.
 
 Activation matrices are plain 2-d numpy arrays with rows = probe points and
-columns = flattened units. `as_matrix` is the single validation gate: every
-public operation funnels its inputs through it, and it is the one place a
-float32 activation record is widened to float64.
+columns = flattened units. `as_matrix` is the single validation gate: each
+of `center_columns`, `gram_factor` and `svd_truncate` funnels its input
+through it, and it is the one place a float32 activation record is widened
+to float64. `MetricKind.prepare` validates each layer here once; the pair
+steps in `simmetrics` work on what it returned and check nothing again.
 """
 from __future__ import annotations
 
@@ -42,34 +44,6 @@ def center_columns(m, name: str = "matrix") -> np.ndarray:
         return c - mean
     c -= mean
     return c
-
-
-def gram_linear(x) -> np.ndarray:
-    """Linear-kernel Gram matrix x @ x.T (n x n, symmetric PSD)."""
-    x = as_matrix(x)
-    k = x @ x.T
-    # force exact symmetry against BLAS rounding asymmetry
-    return (k + k.T) / 2.0
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entries."""
-    m = as_matrix(m)
-    return float(np.sqrt((m * m).sum()))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of m in decreasing order."""
-    m = as_matrix(m)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-
-
-def nuclear_norm(m) -> float:
-    """Sum of the singular values of m."""
-    return float(singular_values(m).sum())
 
 
 def gram_factor(m) -> np.ndarray:

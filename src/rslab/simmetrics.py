@@ -8,14 +8,15 @@ all zero after centering (for SVCCA, whose square factor is all zero;
 online CKA flags none), and it scores 0 against anything instead of NaN so
 grids stay renderable.
 
+`MetricKind` is the one way to score: its docstring defines each metric.
 A metric's parameters and their defaults live only in `_PARAMS`, which
-`MetricKind` fills in from; the single-pair functions pass None through.
+`MetricKind` fills in from.
 
 Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
 once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
-prepares each distinct layer once per grid; `MetricKind.evaluate` and the
-single-pair functions prepare raw matrices themselves, so every caller runs
-the same code. `score_grid`, the one cell loop over prepared layers, builds
+prepares each distinct layer once per grid; `MetricKind.evaluate` also
+takes raw matrices and prepares them itself, so every caller runs the same
+code. `score_grid`, the one cell loop over prepared layers, builds
 every grid's `SimilarityMatrix`, and `SimilarityMatrix.save` writes its
 CSV, JSON sidecar and heatmap.
 What each metric prepares, and what its pair step does:
@@ -61,25 +62,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import (
-    as_matrix,
-    center_columns,
-    frobenius_norm,
-    gram_factor,
-    gram_linear,
-    nuclear_norm,
-    svd_truncate,
-)
+from .numerics import as_matrix, center_columns, gram_factor, svd_truncate
 from .ppm import write_heatmap
-
-
-def linear_cka(x, y):
-    """Linear CKA: |Y^T X|_F^2 / (|X^T X|_F |Y^T Y|_F) on centered matrices.
-
-    Returns a float in [0, 1]; 0 when either input is degenerate (zero after
-    centering).
-    """
-    return MetricKind("linear_cka").evaluate(x, y)
 
 
 def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
@@ -143,22 +127,11 @@ def _hsic_swap(x, y, self_x: float, self_y: float) -> bool:
     return (y.shape[1], self_y) < (x.shape[1], self_x)
 
 
-def online_cka(x, y, batch=None, passes=None, seed=None) -> float:
-    """Streaming CKA over shuffled minibatches.
-
-    Per batch, the unbiased HSIC estimator is evaluated for the numerator and
-    both denominator terms; the three sums are accumulated across all batches
-    and passes and combined once at the end. Deterministic for a fixed seed.
-    A trailing batch smaller than 4 points is folded into its predecessor.
-    One pass with batch >= n is the full-data CKA of unbiased HSIC terms.
-    """
-    return MetricKind("online_cka", batch, passes, seed).evaluate(x, y)
-
-
 def class_cka_decomposition(x, y, labels):
     """Split linear CKA into same-class and cross-class Gram contributions.
 
-    Returns (intra, inter) with intra + inter equal to linear_cka(x, y).
+    Returns (intra, inter) with intra + inter equal to
+    `MetricKind("linear_cka").evaluate(x, y)`.
     Components are raw signed sums over the centered Grams; either may be
     negative, and normalization is left to the caller.
     """
@@ -185,33 +158,6 @@ def _orthonormal_basis(m: np.ndarray) -> np.ndarray:
     tol = max(m.shape) * np.finfo(np.float64).eps * s[0]
     # s is sorted, so the kept directions are a prefix: a view, not a copy
     return u[:, : np.count_nonzero(s > tol)]
-
-
-def mean_cca(x, y):
-    """Mean of the canonical correlation coefficients between x and y.
-
-    Each matrix is centered and orthonormalized (projecting to its column
-    space if rank deficient); the singular values of Qx^T Qy are the
-    canonical correlations. Requires more rows than columns on both sides.
-    """
-    return MetricKind("mean_cca").evaluate(x, y)
-
-
-def svcca(x, y, variance_fraction: float | None = None):
-    """CCA after truncating both inputs to their leading principal directions."""
-    return MetricKind("svcca", variance_fraction=variance_fraction).evaluate(x, y)
-
-
-def procrustes_similarity(x, y):
-    """Orthogonal Procrustes similarity 2|X^T Y|_* on normalized matrices.
-
-    Inputs are centered and scaled to unit Frobenius norm. An input wider
-    than n is replaced by its n x n `gram_factor`, which leaves |X^T Y|_*
-    unchanged; the narrower matrix is then zero-padded (padding leaves the
-    cross-product nuclear norm unchanged too). Value lies in [0, 2];
-    identical matrices score 2.
-    """
-    return MetricKind("procrustes").evaluate(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +202,11 @@ def _centered(x, name: str) -> np.ndarray:
 def _prepare_linear_cka(kind, x, name):
     x = _centered(x, name)
     if x.shape[0] < x.shape[1]:
-        # wide: |X^T X|_F = |K|_F through the smaller n x n Gram
-        k = gram_linear(x)
-        norm = frobenius_norm(k)
+        # wide: |X^T X|_F = |K|_F through the smaller n x n Gram, made
+        # exactly symmetric against BLAS rounding asymmetry
+        k = x @ x.T
+        k = (k + k.T) / 2.0
+        norm = float(np.sqrt((k * k).sum()))
     else:
         k = None
         norm = float(np.linalg.norm(x.T @ x))
@@ -321,13 +269,17 @@ def _pair_online_cka(kind, a, b):
     return num / float(np.sqrt(a.norm * b.norm))
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of m, largest first."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+
 def _canonical_mean(c: np.ndarray) -> float:
     """Mean canonical correlation, given Qx^T Qy of two orthonormal bases."""
-    try:
-        rho = np.linalg.svd(c, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"CCA SVD failed: {exc}") from exc
-    return float(np.clip(rho, 0.0, 1.0).mean())
+    return float(np.clip(_singular_values(c), 0.0, 1.0).mean())
 
 
 def _require_rows_over_cols(n: int, *cols: int) -> None:
@@ -409,7 +361,7 @@ def _pair_procrustes(kind, a, b):
         x = np.pad(x, ((0, 0), (0, y.shape[1] - x.shape[1])))
     elif y.shape[1] < x.shape[1]:
         y = np.pad(y, ((0, 0), (0, x.shape[1] - y.shape[1])))
-    return min(max(2.0 * nuclear_norm(x.T @ y), 0.0), 2.0)
+    return min(max(2.0 * float(_singular_values(x.T @ y).sum()), 0.0), 2.0)
 
 
 # per metric: (prepare one layer, score a pair of prepared layers)
@@ -433,7 +385,28 @@ _PARAMS = {
 class MetricKind:
     """A similarity metric plus its parameters, dispatchable over matrix pairs.
 
-    A parameter left as None takes its `_PARAMS` default."""
+    Each metric scores two n x p layers over the same n points, with X and Y
+    their centered matrices:
+
+    - linear_cka: |Y^T X|_F^2 / (|X^T X|_F |Y^T Y|_F), in [0, 1]; invariant
+      to orthogonal maps and isotropic scaling of either side.
+    - online_cka: the same ratio of unbiased HSIC terms, each summed over
+      `passes` shuffles (seeded by `seed`) of `batch`-row minibatches; a
+      trailing batch under 4 rows joins its predecessor, and one pass with
+      batch >= n is the full-data estimator. An estimate, so it can leave
+      [0, 1]; invariant as linear CKA is.
+    - mean_cca: the mean canonical correlation, the singular values of
+      Qx^T Qy for orthonormal bases of the column spaces, in [0, 1];
+      invariant to any invertible map of either side. Needs n > p on both.
+    - svcca: mean CCA of each side's leading principal directions that hold
+      `variance_fraction` of its variance, in [0, 1]; invariant to
+      orthogonal maps and isotropic scaling.
+    - procrustes: 2 |X^T Y|_* with X and Y scaled to unit Frobenius norm,
+      in [0, 2], 2 for a layer against itself; invariant to orthogonal maps
+      and isotropic scaling.
+
+    All are invariant to a translation of either side. A parameter left as
+    None takes its `_PARAMS` default; a bad value is a `ConfigError`."""
 
     name: str
     batch: int | None = None
@@ -452,13 +425,13 @@ class MetricKind:
                 raise ConfigError(f"{self.name} takes no parameter {f.name!r}")
         if self.name == "online_cka":
             if self.batch < 4:  # the unbiased HSIC's minimum
-                raise ValidationError("online_cka needs batch >= 4")
+                raise ConfigError("online_cka needs batch >= 4")
             if self.passes < 1:
-                raise ValidationError("online_cka needs passes >= 1")
+                raise ConfigError("online_cka needs passes >= 1")
             if self.seed < 0:
-                raise ValidationError("online_cka needs seed >= 0")
+                raise ConfigError("online_cka needs seed >= 0")
         if self.name == "svcca" and not 0.0 < self.variance_fraction <= 1.0:
-            raise ValidationError("svcca needs variance_fraction in (0, 1]")
+            raise ConfigError("svcca needs variance_fraction in (0, 1]")
 
     @property
     def value_range(self) -> tuple:

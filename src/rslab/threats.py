@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .errors import KindError, ShapeError, ValidationError
+from .errors import ConfigError, KindError, ShapeError, ValidationError
 from .nets import Batch, NetworkGraph, _im2col, _label_logp_and_grad, input_grad, predict
 
 
@@ -57,13 +57,13 @@ class ThreatModel:
         if self.kind not in THREAT_KINDS:
             raise KindError(f"unknown threat kind {self.kind!r}")
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
+            raise ConfigError("steps must be >= 1")
         if self.step_size is not None and not (
             np.isfinite(self.step_size) and self.step_size > 0
         ):
-            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
+            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
 
     @property
     def alpha(self) -> float:

@@ -25,7 +25,14 @@ import numpy as np
 
 from . import container, errors, nets
 from .activations import record_activations, write_dump
-from .errors import ConfigError, FormatError, NumericalError, RslabError
+from .errors import (
+    ConfigError,
+    FormatError,
+    NumericalError,
+    RslabError,
+    ShapeError,
+    ValidationError,
+)
 from .nets import Batch, NetworkGraph
 from .threats import ThreatModel, _perturb, generate
 
@@ -80,8 +87,9 @@ class TrainingConfig:
         for name in ("batch_size", "probe_size", "val_adv_subset"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for name in ("checkpoint_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
     def effective_eval_threat(self) -> ThreatModel | None:
         if self.eval_threat is not None:
@@ -215,10 +223,23 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
+    """The train and val splits of `spec`: each split's inputs are
+    (n_train or n_val, channels, size, size) and its labels lie in
+    [0, classes)."""
+
     train: Batch
     val: Batch
     spec: DatasetSpec
     seed: int
+
+    def __post_init__(self):
+        s = self.spec
+        for name, split, n in (("train", self.train, s.n_train), ("val", self.val, s.n_val)):
+            shape = (n, s.channels, s.size, s.size)
+            if split.inputs.shape != shape:
+                raise ShapeError(f"{name} inputs are {split.inputs.shape}, the spec's {shape}")
+            if split.labels.min() < 0 or split.labels.max() >= s.classes:
+                raise ValidationError(f"{name} labels must lie in [0, {s.classes})")
 
 
 def _class_centers(classes: int, size: int) -> np.ndarray:

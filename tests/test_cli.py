@@ -116,6 +116,8 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("train", {}, {"lr_decay": 1}),
     ("train", {}, {"method": "advpgd", "threat": {"kind": "nope", "epsilon": 0.1}}),
     ("train", {}, {"method": "trades", "threat": {"kind": "snow", "epsilon": 0.1}}),
+    ("train", {}, {"method": "advpgd", "threat": {"kind": "linf", "epsilon": -1}}),
+    ("train", {}, {"checkpoint_every": -3}),
     ("gen-data", {}, {"classes": "4"}),
     ("gen-data", {}, {"noise_std": "x"}),
     ("gen-data", {}, {"jitter": 1.5}),
@@ -126,6 +128,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("experiment", {}, {"kind": "crosslayer", "metric": {"name": "linear_cka", "bogus": 1}}),
     ("experiment", {}, {"kind": "crosslayer",
                         "metric": {"name": "svcca", "variance_fraction": "0.9"}}),
+    ("experiment", {}, {"kind": "crosslayer", "metric": {"name": "online_cka", "batch": 2}}),
     # valid but for the metric, so a missing run would exit 3 if it were accepted
     ("experiment", {}, {"kind": "crosslayer", "runs": ["no_such_run"], "metric": {
         "name": "linear_cka", "batch": 5, "variance_fraction": 0.3}}),
@@ -135,11 +138,11 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
-    "trades-snow",
+    "trades-snow", "threat-epsilon-negative", "checkpoint-every-negative",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
-    "experiment-metric-string", "experiment-metric-foreign-params", "experiment-kind-transfer",
-    "experiment-foreign-field",
+    "experiment-metric-string", "experiment-metric-batch", "experiment-metric-foreign-params",
+    "experiment-kind-transfer", "experiment-foreign-field",
 ])
 def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     _, data_path, _, run_dir = pipeline
@@ -235,16 +238,18 @@ def test_record_rejects_adversarial_flags(pipeline, tmp_path, capsys, flags):
     assert not os.path.exists(out)
 
 
-def test_attack_non_finite_eps_exits_5(pipeline, tmp_path, capsys):
+def test_attack_bad_threat_values_exit_2(pipeline, tmp_path, capsys):
     _, data_path, _, run_dir = pipeline
     model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
-    for eps in ("nan", "inf"):
+    for i, (eps, steps) in enumerate((("nan", "1"), ("inf", "1"), ("-0.1", "1"), ("0.1", "0"))):
+        out = tmp_path / f"atk{i}"
         code = run_cli(
             "attack", "--model", model, "--data", data_path, "--threat", "linf",
-            "--eps", eps, "--steps", "1", "--limit", "8", "--out", str(tmp_path / eps),
+            "--eps", eps, "--steps", steps, "--limit", "8", "--out", str(out),
         )
-        assert code == 5
-        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        assert code == 2, (eps, steps)
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
 
 
 def test_train_rejects_bad_schema_version(tmp_path):
@@ -353,6 +358,18 @@ def test_threatgrid_refuses_runs_of_different_probes(seeded_runs, tmp_path, caps
     assert _threatgrid(tmp_path, runs["a"], runs["b"]) == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and "--limit" in err["message"]
+
+
+@pytest.mark.parametrize("labels", [["a|b", "a"], ["x/y", "a"], ["", "a"]],
+                         ids=["pipe", "slash", "empty"])
+def test_threatgrid_refuses_labels_unfit_for_names(pipeline, tmp_path, capsys, labels):
+    # "a|b" vs "a" would give the pair_means key "a|b|a" two readings
+    _, _, _, run_dir = pipeline
+    spec = write_json(tmp_path / "tg.json", {"schema_version": 1, "experiment": {
+        "kind": "threatgrid", "runs": [run_dir, run_dir], "labels": labels}})
+    assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "tg")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert sorted(os.listdir(tmp_path)) == ["tg.json"]
 
 
 def test_compare_refuses_a_record_dump_against_a_training_probe(seeded_runs, tmp_path):
@@ -583,6 +600,31 @@ def test_non_finite_dataset_exits_5(pipeline, tmp_path, capsys):
         assert run_cli(*argv) == 5, argv[0]
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and bad in err["message"]
+
+
+@pytest.mark.parametrize("fault", ["label-out-of-range", "image-size"])
+def test_dataset_that_breaks_its_spec_exits_5(pipeline, tmp_path, capsys, fault):
+    _, data_path, _, run_dir = pipeline
+    from rslab.errors import FormatError
+    from rslab.training import DatasetSpec, load_dataset, make_synthetic_dataset, save_dataset
+
+    bad = str(tmp_path / "bad")
+    if fault == "label-out-of-range":
+        data = load_dataset(data_path)
+        data.val.labels[-1] = 7  # of a 2-class spec
+    else:
+        data = make_synthetic_dataset(DatasetSpec(classes=2, size=4, n_train=16, n_val=8), 0)
+        data.spec = DatasetSpec(classes=2, size=8, n_train=16, n_val=8)  # 4x4 images
+    save_dataset(data, bad)
+    with pytest.raises(FormatError):
+        load_dataset(bad)
+    out = tmp_path / "rec.rsam"
+    code = run_cli("record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),
+                   "--data", bad, "--out", str(out))
+    assert code == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and bad in err["message"]
+    assert not out.exists()
 
 
 def test_seed_threading_determinism(pipeline, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from rslab import numerics
 from rslab.errors import ShapeError, ValidationError
+from rslab.simmetrics import MetricKind, _singular_values
 
 import oracles
 
@@ -46,56 +47,73 @@ def test_center_columns_idempotent():
     assert np.abs(once - twice).max() <= 1e-9
 
 
+def wide_gram(x):
+    """The n x n Gram and its norm that linear CKA prepares for a layer
+    wider than its n rows: those of the column-centered layer."""
+    layer = MetricKind("linear_cka").prepare(x)
+    return layer.gram, layer.norm
+
+
 def test_gram_linear_identity():
-    assert np.allclose(numerics.gram_linear(np.eye(2)), np.eye(2))
+    # [I | 0] centres to H [I | 0], whose Gram is the centering matrix H
+    k, _ = wide_gram(np.eye(3, 4))
+    assert np.allclose(k, oracles.centering_matrix(3))
 
 
 def test_gram_linear_diagonal():
-    out = numerics.gram_linear([[1.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(out, [[1.0, 0.0], [0.0, 4.0]])
+    k, _ = wide_gram([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    assert np.allclose(k, [[1.25, -1.25], [-1.25, 1.25]])
 
 
 def test_gram_linear_matches_dot_oracle():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(4, 2))
-    k = numerics.gram_linear(x)
-    assert np.abs(k - oracles.gram_by_dots(x)).max() <= 1e-12
-    assert np.abs(k - k.T).max() <= 1e-12
+    x = rng.normal(size=(4, 9))
+    k, _ = wide_gram(x)
+    assert np.abs(k - oracles.gram_by_dots(x - x.mean(axis=0))).max() <= 1e-12
+    assert np.array_equal(k, k.T)
 
 
 def test_gram_linear_psd():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        k = numerics.gram_linear(rng.normal(size=(16, 4)))
+        k, _ = wide_gram(rng.normal(size=(4, 16)))
         eig = np.linalg.eigvalsh(k)
         assert eig.min() >= -1e-9 * np.trace(k)
 
 
 def test_frobenius_norm_values():
-    assert numerics.frobenius_norm(np.zeros((2, 3))) == 0.0
-    assert numerics.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
-    assert numerics.frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
+    # the norm of the Gram |K|_F, which equals |X^T X|_F of the centered X
+    assert wide_gram(np.zeros((2, 3)))[1] == 0.0
+    assert wide_gram(np.eye(3, 4))[1] == pytest.approx(np.sqrt(2))
+    assert wide_gram([[3.0, 4.0, 0.0], [-3.0, -4.0, 0.0]])[1] == pytest.approx(50.0)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 8))
+    xc = x - x.mean(axis=0)
+    assert wide_gram(x)[1] == pytest.approx(np.linalg.norm(xc.T @ xc), rel=1e-12)
+
+
+def nuclear_norm(m):
+    """The sum of the singular values that Procrustes' pair step takes."""
+    return float(_singular_values(m).sum())
 
 
 def test_nuclear_norm_diagonal():
-    assert numerics.nuclear_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0)
-    assert numerics.nuclear_norm(np.eye(2)) == pytest.approx(2.0)
+    assert nuclear_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0)
+    assert nuclear_norm(np.eye(2)) == pytest.approx(2.0)
 
 
 def test_nuclear_norm_matches_jacobi_oracle():
     rng = np.random.default_rng(4)
     for _ in range(10):
         m = rng.normal(size=(3, 2))
-        assert numerics.nuclear_norm(m) == pytest.approx(
-            oracles.nuclear_norm_jacobi(m), abs=1e-9
-        )
+        assert nuclear_norm(m) == pytest.approx(oracles.nuclear_norm_jacobi(m), abs=1e-9)
 
 
 def test_nuclear_at_least_frobenius():
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
-        assert numerics.nuclear_norm(m) >= numerics.frobenius_norm(m) - 1e-9
+        assert nuclear_norm(m) >= np.linalg.norm(m) - 1e-9
 
 
 def test_svd_truncate_full_fraction_preserves_span():

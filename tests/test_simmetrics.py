@@ -19,6 +19,9 @@ from rslab.ppm import write_heatmap
 import oracles
 
 
+CKA, CCA, PROCRUSTES = (sm.MetricKind(n) for n in ("linear_cka", "mean_cca", "procrustes"))
+
+
 def random_orthogonal(rng, p):
     q, _ = np.linalg.qr(rng.normal(size=(p, p)))
     return q
@@ -31,21 +34,21 @@ def random_orthogonal(rng, p):
 def test_cka_self_similarity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(10, 4))
-    assert sm.linear_cka(x, x) == pytest.approx(1.0, abs=1e-12)
+    assert CKA.evaluate(x, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cka_orthogonal_and_scale_invariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(12, 5))
     q = random_orthogonal(rng, 5)
-    assert sm.linear_cka(x, x @ q) == pytest.approx(1.0, abs=1e-8)
-    assert sm.linear_cka(x, 3.7 * x) == pytest.approx(1.0, abs=1e-8)
+    assert CKA.evaluate(x, x @ q) == pytest.approx(1.0, abs=1e-8)
+    assert CKA.evaluate(x, 3.7 * x) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_cka_fixed_example_matches_direct_oracle():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     y = np.array([[1.0], [-1.0], [0.0]])
-    assert sm.linear_cka(x, y) == pytest.approx(oracles.cka_direct(x, y), abs=1e-12)
+    assert CKA.evaluate(x, y) == pytest.approx(oracles.cka_direct(x, y), abs=1e-12)
 
 
 # (n, px, py) beyond the random tall-ish ones: both sides wider than n, and
@@ -59,7 +62,7 @@ def test_cka_matches_direct_oracle_random():
     for n, px, py in shapes + list(WIDE_SHAPES):
         x = rng.normal(size=(n, px))
         y = rng.normal(size=(n, py))
-        assert sm.linear_cka(x, y) == pytest.approx(
+        assert CKA.evaluate(x, y) == pytest.approx(
             oracles.cka_direct(x, y), abs=1e-10
         )
 
@@ -70,7 +73,7 @@ def test_cka_wide_gram_route_matches_trace_oracle():
     for n, px, py in ((8, 30, 20), (6, 9, 40), (12, 13, 13)):
         x = rng.normal(size=(n, px))
         y = rng.normal(size=(n, py))
-        assert abs(sm.linear_cka(x, y) - oracles.cka_trace_form(x @ x.T, y @ y.T)) <= 1e-12
+        assert abs(CKA.evaluate(x, y) - oracles.cka_trace_form(x @ x.T, y @ y.T)) <= 1e-12
 
 
 def test_cka_degenerate_flag():
@@ -84,7 +87,7 @@ def test_cka_degenerate_flag():
 
 def test_cka_row_mismatch():
     with pytest.raises(ShapeError):
-        sm.linear_cka(np.zeros((4, 2)), np.zeros((5, 2)))
+        CKA.evaluate(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
 def test_cka_translation_invariance():
@@ -92,7 +95,7 @@ def test_cka_translation_invariance():
     x = rng.normal(size=(9, 3))
     y = rng.normal(size=(9, 4))
     shift = x + rng.normal(size=(1, 3))
-    assert sm.linear_cka(shift, y) == pytest.approx(sm.linear_cka(x, y), abs=1e-8)
+    assert CKA.evaluate(shift, y) == pytest.approx(CKA.evaluate(x, y), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +117,19 @@ def test_online_single_batch_equals_unbiased():
         x, y = _latent_batches(rng, n, px, py)
         x = x + rng.normal(size=(1, px))  # not centered
         for a, b in ((x, y), (x, x)):
-            one = sm.online_cka(a, b, batch=n, passes=1, seed=0)
+            one = sm.MetricKind("online_cka", batch=n, passes=1, seed=0).evaluate(a, b)
             # one batch holding every point is unshuffled, so a larger
             # batch gives the same bits
-            assert one == sm.online_cka(a, b, batch=n + 5, passes=1, seed=3)
+            larger = sm.MetricKind("online_cka", batch=n + 5, passes=1, seed=3)
+            assert one == larger.evaluate(a, b)
             assert abs(one - _full_data_cka_loops(a, b)) <= 1e-12
 
 
 def test_online_identical_streams():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(64, 8))
-    assert sm.online_cka(x, x, batch=16, passes=2, seed=1) == pytest.approx(
-        1.0, abs=1e-6
-    )
+    metric = sm.MetricKind("online_cka", batch=16, passes=2, seed=1)
+    assert metric.evaluate(x, x) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_online_converges_to_full_batch():
@@ -135,8 +138,8 @@ def test_online_converges_to_full_batch():
     z = rng.normal(size=(n, 16))
     x = z @ rng.normal(size=(16, 64)) + 0.6 * rng.normal(size=(n, 64))
     y = z @ rng.normal(size=(16, 48)) + 0.6 * rng.normal(size=(n, 48))
-    full = sm.online_cka(x, y, batch=n, passes=1)
-    o = sm.online_cka(x, y, batch=64, passes=3, seed=0)
+    full = sm.MetricKind("online_cka", batch=n, passes=1).evaluate(x, y)
+    o = sm.MetricKind("online_cka", batch=64, passes=3, seed=0).evaluate(x, y)
     assert abs(o - full) <= 0.01
 
 
@@ -144,16 +147,16 @@ def test_online_deterministic():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(100, 7))
     y = rng.normal(size=(100, 5))
-    a = sm.online_cka(x, y, batch=16, passes=2, seed=5)
-    b = sm.online_cka(x, y, batch=16, passes=2, seed=5)
+    a = sm.MetricKind("online_cka", batch=16, passes=2, seed=5).evaluate(x, y)
+    b = sm.MetricKind("online_cka", batch=16, passes=2, seed=5).evaluate(x, y)
     assert a == b
-    c = sm.online_cka(x, y, batch=16, passes=2, seed=6)
+    c = sm.MetricKind("online_cka", batch=16, passes=2, seed=6).evaluate(x, y)
     assert a != c  # different shuffles almost surely differ
 
 
 def test_online_misalignment():
     with pytest.raises(ShapeError):
-        sm.online_cka(np.zeros((8, 2)), np.zeros((9, 2)), batch=4)
+        sm.MetricKind("online_cka", batch=4).evaluate(np.zeros((8, 2)), np.zeros((9, 2)))
 
 
 def test_metric_defaults_live_in_metric_kind():
@@ -166,21 +169,18 @@ def test_metric_defaults_live_in_metric_kind():
     assert sm.MetricKind("online_cka", passes=1).to_json() == {
         "name": "online_cka", "batch": 1024, "passes": 1, "seed": 0,
     }
-    rng = np.random.default_rng(31)
-    x, y = rng.normal(size=(40, 6)), rng.normal(size=(40, 9))
-    assert sm.svcca(x, y) == sm.svcca(x, y, 0.99)
-    assert sm.online_cka(x, y, passes=1) == sm.online_cka(x, y, 1024, 1, 0)
 
 
 def test_online_bad_params():
-    x = np.random.default_rng(12).normal(size=(16, 3))
-    with pytest.raises(ValidationError):
-        sm.online_cka(x, x, batch=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
+        sm.MetricKind("online_cka", batch=1)
+    with pytest.raises(ConfigError):
         # below the unbiased HSIC's 4 points: rejected before any batch runs
         sm.MetricKind("online_cka", batch=3, passes=1, seed=0)
-    with pytest.raises(ValidationError):
-        sm.online_cka(x, x, batch=4, passes=0)
+    with pytest.raises(ConfigError):
+        sm.MetricKind("online_cka", batch=4, passes=0)
+    with pytest.raises(ConfigError):
+        sm.MetricKind("online_cka", seed=-1)
 
 
 def _latent_batches(rng, m, px, py):
@@ -236,7 +236,7 @@ def test_class_decomposition_single_class():
     y = rng.normal(size=(6, 2))
     intra, inter = sm.class_cka_decomposition(x, y, np.zeros(6, dtype=int))
     assert inter == 0.0
-    assert intra == pytest.approx(sm.linear_cka(x, y), abs=1e-12)
+    assert intra == pytest.approx(CKA.evaluate(x, y), abs=1e-12)
 
 
 def test_class_decomposition_identity_sums_to_one():
@@ -265,7 +265,7 @@ def test_class_decomposition_closure_many():
         y = rng.normal(size=(9, 3))
         labels = rng.integers(0, 3, 9)
         intra, inter = sm.class_cka_decomposition(x, y, labels)
-        assert intra + inter == pytest.approx(sm.linear_cka(x, y), abs=1e-10)
+        assert intra + inter == pytest.approx(CKA.evaluate(x, y), abs=1e-10)
 
 
 def test_class_decomposition_label_mismatch():
@@ -280,7 +280,7 @@ def test_class_decomposition_label_mismatch():
 def test_mean_cca_self():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(20, 4))
-    assert sm.mean_cca(x, x) == pytest.approx(1.0, abs=1e-8)
+    assert CCA.evaluate(x, x) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_mean_cca_orthogonal_columns():
@@ -291,28 +291,28 @@ def test_mean_cca_orthogonal_columns():
     q, _ = np.linalg.qr(np.column_stack([xc, np.ones(30)]))
     raw = rng.normal(size=(30, 2))
     y = raw - q @ (q.T @ raw)
-    assert sm.mean_cca(x, y) == pytest.approx(0.0, abs=1e-8)
+    assert CCA.evaluate(x, y) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mean_cca_matches_ascent_oracle():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(50, 3))
     y = rng.normal(size=(50, 2))
-    assert sm.mean_cca(x, y) == pytest.approx(
+    assert CCA.evaluate(x, y) == pytest.approx(
         float(oracles.cca_ascent(x, y).mean()), abs=1e-8
     )
 
 
 def test_mean_cca_requires_more_rows():
     with pytest.raises(ShapeError):
-        sm.mean_cca(np.zeros((3, 3)), np.zeros((3, 2)))
+        CCA.evaluate(np.zeros((3, 3)), np.zeros((3, 2)))
 
 
 def test_mean_cca_rank_deficient_projects():
     rng = np.random.default_rng(20)
     base = rng.normal(size=(25, 2))
     x = np.column_stack([base, base[:, 0] + base[:, 1]])  # rank 2 of 3 cols
-    val = sm.mean_cca(x, base)
+    val = CCA.evaluate(x, base)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -326,21 +326,23 @@ def test_mean_cca_self_on_ill_conditioned_tall_layer():
     x = (h @ rng.normal(size=(64, 64)) + 0.1).astype(np.float32).astype(np.float64)
     s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
     assert s[-8] / s[0] < 1e-7 < s[-9] / s[0]
-    assert abs(sm.mean_cca(x, x) - 1.0) < 1e-12
+    assert abs(CCA.evaluate(x, x) - 1.0) < 1e-12
 
 
 def test_svcca_full_fraction_equals_cca():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(30, 4))
     y = rng.normal(size=(30, 3))
-    assert sm.svcca(x, y, 1.0) == pytest.approx(sm.mean_cca(x, y), abs=1e-8)
+    full = sm.MetricKind("svcca", variance_fraction=1.0)
+    assert full.evaluate(x, y) == pytest.approx(CCA.evaluate(x, y), abs=1e-8)
 
 
 def test_svcca_self():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(25, 5))
     for frac in (0.5, 0.9, 1.0):
-        assert sm.svcca(x, x, frac) == pytest.approx(1.0, abs=1e-8)
+        metric = sm.MetricKind("svcca", variance_fraction=frac)
+        assert metric.evaluate(x, x) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_svcca_matches_composed_oracles():
@@ -348,6 +350,7 @@ def test_svcca_matches_composed_oracles():
     # beyond tall and wide: a tall x with three all-zero columns (dead units,
     # so its R factor is singular), and a square pair (n = p)
     shapes = ((40, 6, 6),) + WIDE_SHAPES + ((40, 8, 5), (12, 12, 12))
+    metric = sm.MetricKind("svcca", variance_fraction=0.9)
     for n, px, py in shapes:
         h = oracles.centering_matrix(n)
         x = rng.normal(size=(n, px))
@@ -357,7 +360,7 @@ def test_svcca_matches_composed_oracles():
         xt = oracles.principal_projection(h @ x, 0.9)
         yt = oracles.principal_projection(h @ y, 0.9)
         expected = float(oracles.cca_ascent(xt, yt).mean())
-        assert sm.svcca(x, y, 0.9) == pytest.approx(expected, abs=1e-10)
+        assert metric.evaluate(x, y) == pytest.approx(expected, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +370,9 @@ def test_svcca_matches_composed_oracles():
 def test_procrustes_self_and_rotation():
     rng = np.random.default_rng(24)
     x = rng.normal(size=(12, 4))
-    assert sm.procrustes_similarity(x, x) == pytest.approx(2.0, abs=1e-8)
+    assert PROCRUSTES.evaluate(x, x) == pytest.approx(2.0, abs=1e-8)
     q = random_orthogonal(rng, 4)
-    assert sm.procrustes_similarity(x, x @ q) == pytest.approx(2.0, abs=1e-8)
+    assert PROCRUSTES.evaluate(x, x @ q) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_procrustes_fixed_example_nuclear_oracle():
@@ -380,7 +383,7 @@ def test_procrustes_fixed_example_nuclear_oracle():
     xn = xc / np.linalg.norm(xc)
     yn = yc / np.linalg.norm(yc)
     expected = 2.0 * oracles.nuclear_norm_jacobi(xn.T @ yn)
-    assert sm.procrustes_similarity(x, y) == pytest.approx(expected, abs=1e-9)
+    assert PROCRUSTES.evaluate(x, y) == pytest.approx(expected, abs=1e-9)
 
 
 def test_procrustes_random_matches_nuclear_oracle():
@@ -394,7 +397,7 @@ def test_procrustes_random_matches_nuclear_oracle():
         xn = np.pad(xc / np.linalg.norm(xc), ((0, 0), (0, p - px)))
         yn = np.pad(yc / np.linalg.norm(yc), ((0, 0), (0, p - py)))
         expected = 2.0 * oracles.nuclear_norm_jacobi(xn.T @ yn)
-        assert sm.procrustes_similarity(x, y) == pytest.approx(expected, abs=1e-10)
+        assert PROCRUSTES.evaluate(x, y) == pytest.approx(expected, abs=1e-10)
 
 
 def test_procrustes_degenerate():
@@ -423,16 +426,15 @@ def test_svcca_degenerate():
 def test_cka_isotropic_scaling(scale):
     rng = np.random.default_rng(26)
     x = rng.normal(size=(14, 4))
-    assert sm.linear_cka(x, scale * x) == pytest.approx(1.0, abs=1e-8)
+    assert CKA.evaluate(x, scale * x) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_metric_symmetry():
     rng = np.random.default_rng(27)
     x = rng.normal(size=(20, 4))
     y = rng.normal(size=(20, 3))
-    for fn in (sm.linear_cka, sm.mean_cca, sm.procrustes_similarity):
-        assert fn(x, y) == pytest.approx(fn(y, x), abs=1e-9)
-    assert sm.svcca(x, y, 0.9) == pytest.approx(sm.svcca(y, x, 0.9), abs=1e-9)
+    for metric in (CKA, CCA, PROCRUSTES, sm.MetricKind("svcca", variance_fraction=0.9)):
+        assert metric.evaluate(x, y) == pytest.approx(metric.evaluate(y, x), abs=1e-9)
 
 
 def test_translation_invariance_all_metrics():
@@ -440,8 +442,8 @@ def test_translation_invariance_all_metrics():
     x = rng.normal(size=(20, 4))
     y = rng.normal(size=(20, 3))
     xs = x + rng.normal(size=(1, 4))
-    for fn in (sm.linear_cka, sm.mean_cca, sm.procrustes_similarity):
-        assert fn(xs, y) == pytest.approx(fn(x, y), abs=1e-8)
+    for metric in (CKA, CCA, PROCRUSTES):
+        assert metric.evaluate(xs, y) == pytest.approx(metric.evaluate(x, y), abs=1e-8)
 
 
 def test_orthogonal_invariance_full_suite():
@@ -449,9 +451,9 @@ def test_orthogonal_invariance_full_suite():
     x = rng.normal(size=(24, 5))
     q = random_orthogonal(rng, 5)
     xq = x @ q
-    assert sm.linear_cka(x, xq) == pytest.approx(1.0, abs=1e-8)
-    assert sm.procrustes_similarity(x, xq) == pytest.approx(2.0, abs=1e-8)
-    assert sm.mean_cca(x, xq) == pytest.approx(1.0, abs=1e-8)
+    assert CKA.evaluate(x, xq) == pytest.approx(1.0, abs=1e-8)
+    assert PROCRUSTES.evaluate(x, xq) == pytest.approx(2.0, abs=1e-8)
+    assert CCA.evaluate(x, xq) == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +473,9 @@ def test_metric_kind_validation():
         sm.MetricKind("nope")
     with pytest.raises(ConfigError):
         sm.MetricKind("linear_cka", batch=5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         sm.MetricKind("online_cka", batch=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         sm.MetricKind("svcca", variance_fraction=0.0)
     assert sm.MetricKind("procrustes").value_range == (0.0, 2.0)
     assert sm.MetricKind("linear_cka").value_range == (0.0, 1.0)
@@ -510,7 +512,7 @@ def test_crosslayer_single_layer():
     a = make_set(rng, layers=1)
     b = make_set(rng, layers=1)
     grid = sm.crosslayer_matrix(a, b, sm.MetricKind("linear_cka"))
-    expected = sm.linear_cka(a.records[0].matrix, b.records[0].matrix)
+    expected = CKA.evaluate(a.records[0].matrix, b.records[0].matrix)
     assert grid.values.shape == (1, 1)
     assert grid.values[0, 0] == pytest.approx(expected, abs=1e-12)
 

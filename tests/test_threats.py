@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from rslab import nets, threats, training
-from rslab.errors import KindError, ValidationError
+from rslab.errors import ConfigError, KindError
 
 
 @pytest.fixture(scope="module")
@@ -320,16 +320,16 @@ def test_eps_zero_robust_equals_benign(trained):
 def test_threat_validation():
     with pytest.raises(KindError):
         threats.ThreatModel("sleet", 0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         threats.ThreatModel("linf", -0.1)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             threats.ThreatModel("linf", bad)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             threats.ThreatModel("linf", 0.1, step_size=bad)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         threats.ThreatModel("linf", 0.1, steps=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         threats.ThreatModel("linf", 0.1, step_size=-1.0)
     t = threats.ThreatModel("linf", 0.1, steps=10)
     assert t.alpha == pytest.approx(0.025)
