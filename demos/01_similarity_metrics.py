@@ -8,7 +8,7 @@ Every score goes through `MetricKind(name).evaluate`.
 """
 import numpy as np
 
-from rslab import MetricKind, class_cka_decomposition
+from rslab import MetricKind
 from rslab.simmetrics import METRIC_NAMES
 
 rng = np.random.default_rng(0)
@@ -39,9 +39,3 @@ full = MetricKind("online_cka", batch=n, passes=1).evaluate(x, y)
 for batch in (32, 64, 128):
     est = MetricKind("online_cka", batch=batch, passes=3, seed=0).evaluate(x, y)
     print(f"  batch={batch:4d}: online={est:.4f}  full={full:.4f}  |diff|={abs(est - full):.4f}")
-
-labels = rng.integers(0, 4, n)
-intra, inter = class_cka_decomposition(x, y, labels)
-print("\nclass-conditional split of CKA (same-class vs cross-class Gram mass):")
-print(f"  intra={intra:.4f}  inter={inter:.4f}  sum={intra + inter:.4f}"
-      f"  (= CKA {cka.evaluate(x, y):.4f})")

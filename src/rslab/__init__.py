@@ -43,7 +43,6 @@ from .simmetrics import (
     MetricKind,
     SimilarityMatrix,
     block_structure_score,
-    class_cka_decomposition,
     crosslayer_matrix,
 )
 from .threats import AdversarialBatch, ThreatModel, evaluate_accuracy, generate

@@ -170,7 +170,7 @@ def cmd_attack(args) -> int:
     write_dump(aset, os.path.join(args.out, "adversarial.rsam"))
     summary = {
         "benign_acc": benign, "robust_acc": robust,
-        "threat": threat.to_json(), "n": sub.n,
+        "threat": errors.to_json(threat), "n": sub.n,
         "flipped": int(adv.success_mask.sum()),
     }
     errors.write_json(os.path.join(args.out, "accuracy.json"), summary)
@@ -198,7 +198,7 @@ def cmd_compare(args) -> int:
     clamped = sm.save(args.out, "compare")
     diag = [float(sm.values[i, i]) for i in range(min(*sm.values.shape))]
     summary = {
-        "metric": metric.to_json(),
+        "metric": errors.to_json(metric),
         "mean": float(sm.values.mean()),
         "mean_diagonal": float(np.mean(diag)) if diag else None,
         "degenerate_cells": int(sm.degenerate.sum()),

@@ -9,6 +9,7 @@ dump exits 5; a missing or unreadable file stays an OSError.
 import csv
 import dataclasses
 import json
+import math
 import types
 import typing
 
@@ -75,10 +76,11 @@ def from_json(cls, d, what: str):
     The allowed keys, the required keys (fields with no default) and each
     value's type come from the dataclass fields and their annotations: str,
     int, float (an int is accepted), bool, X | None, tuple[T, ...] (read from
-    a JSON list) and nested classes with their own `from_json`. Null means
-    the field is absent. A non-object, an unknown key, a missing required
-    key or a value of another type raises ConfigError; a bool is never taken
-    for a number.
+    a JSON list) and nested dataclasses, which this function decodes under
+    their field's name. Null means the field is absent. A non-object, an
+    unknown key, a missing required key, a value of another type or a
+    non-finite float (JSON's NaN and Infinity) raises ConfigError; a bool is
+    never taken for a number.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object, got {d!r}")
@@ -92,35 +94,38 @@ def from_json(cls, d, what: str):
     for f in fields:
         v = d.get(f.name)
         if v is not None:
-            kwargs[f.name] = _decode(v, hints[f.name], f"{shown}: {f.name!r}")
+            kwargs[f.name] = _decode(v, hints[f.name], f.name, f"{shown}: {f.name!r}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{shown}: {f.name!r} is required")
     return cls(**kwargs)
 
 
-def _decode(v, tp, where: str):
+def _decode(v, tp, name: str, where: str):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None; v is not None
         (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
     if typing.get_origin(tp) is tuple:
         item = typing.get_args(tp)[0]
         if not isinstance(v, list):
             raise ConfigError(f"{where} must be a list of {item.__name__}")
-        return tuple(_decode(x, item, where) for x in v)
-    if hasattr(tp, "from_json"):
-        return tp.from_json(v)
+        return tuple(_decode(x, item, name, where) for x in v)
+    if dataclasses.is_dataclass(tp):
+        return from_json(tp, v, name)
     allowed = (int, float) if tp is float else tp
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, allowed):
         raise ConfigError(f"{where} must be {tp.__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite")
     return v
 
 
 def to_json(obj) -> dict:
-    """The JSON object of a dataclass: every non-None field, in field order."""
+    """The JSON object of a dataclass: every non-None field, in field order,
+    a dataclass value as its own object."""
     out = {}
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
         if v is not None:
-            out[f.name] = v.to_json() if hasattr(v, "to_json") else v
+            out[f.name] = to_json(v) if dataclasses.is_dataclass(v) else v
     return out
 
 

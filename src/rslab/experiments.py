@@ -64,10 +64,8 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} takes {count} run(s), got {len(self.runs)}")
         if self.labels and len(self.labels) != len(self.runs):
             raise ConfigError(f"{len(self.labels)} labels for {len(self.runs)} runs")
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ExperimentSpec":
-        return errors.from_json(cls, d, "experiment")
+        if (self.min_lag or 0) < 0 or any(t < 0 for t in self.taps):
+            raise ConfigError(f"min_lag and taps must be >= 0, got {self.min_lag}, {self.taps}")
 
 
 def _final_probe(run_dir: str, condition: str):
@@ -113,7 +111,7 @@ def _run_cell(run_dir: str) -> tuple:
     config, trace = load_run(run_dir)
     if not isinstance(config, dict):
         raise ValidationError(f"run {run_dir}: config.json must be an object")
-    training = TrainingConfig.from_json(config.get("training"))
+    training = errors.from_json(TrainingConfig, config.get("training"), "training")
     checkpoint = trace.entries[-1].checkpoint_path
     if checkpoint is None:
         raise ValidationError(f"run {run_dir} has no final checkpoint")

@@ -55,7 +55,6 @@ import numpy as np
 from . import errors
 from .activations import require_same_probe
 from .errors import (
-    AlignmentError,
     ConfigError,
     EmptySelectionError,
     NumericalError,
@@ -125,29 +124,6 @@ def _hsic_swap(x, y, self_x: float, self_y: float) -> bool:
     way round: the narrower layer first, then the smaller self-HSIC.
     """
     return (y.shape[1], self_y) < (x.shape[1], self_x)
-
-
-def class_cka_decomposition(x, y, labels):
-    """Split linear CKA into same-class and cross-class Gram contributions.
-
-    Returns (intra, inter) with intra + inter equal to
-    `MetricKind("linear_cka").evaluate(x, y)`.
-    Components are raw signed sums over the centered Grams; either may be
-    negative, and normalization is left to the caller.
-    """
-    kind = MetricKind("linear_cka")
-    a, b = kind.prepare(x, "x"), kind.prepare(y, "y")
-    if a.n != b.n:
-        raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or len(labels) != a.n:
-        raise AlignmentError(f"labels length {labels.shape} does not match {a.n} rows")
-    if a.degenerate or b.degenerate:
-        return 0.0, 0.0
-    d = a.norm * b.norm
-    prod = (a.matrix @ a.matrix.T) * (b.matrix @ b.matrix.T)
-    same = labels[:, None] == labels[None, :]
-    return float(prod[same].sum()) / d, float(prod[~same].sum()) / d
 
 
 def _orthonormal_basis(m: np.ndarray) -> np.ndarray:
@@ -455,13 +431,6 @@ class MetricKind:
             raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
         return _STEPS[self.name][1](self, a, b)
 
-    def to_json(self) -> dict:
-        return errors.to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "MetricKind":
-        return errors.from_json(cls, d, "metric")
-
 
 @dataclass
 class SimilarityMatrix:
@@ -503,7 +472,7 @@ class SimilarityMatrix:
         rows = [[name, *row] for name, row in zip(self.row_names, self.values)]
         errors.write_csv(base + ".csv", ["", *self.col_names], rows)
         sidecar = {
-            "metric": self.metric.to_json(),
+            "metric": errors.to_json(self.metric),
             "range": list(self.metric.value_range),
             "n": self.meta.get("n"),
             "model_ids": self.meta.get("model_ids"),

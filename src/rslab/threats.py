@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import errors
 from .errors import ConfigError, KindError, ShapeError, ValidationError
 from .nets import Batch, NetworkGraph, _im2col, _label_logp_and_grad, input_grad, predict
 
@@ -70,13 +69,6 @@ class ThreatModel:
         if self.step_size is not None:
             return self.step_size
         return 2.5 * self.epsilon / self.steps
-
-    def to_json(self) -> dict:
-        return errors.to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ThreatModel":
-        return errors.from_json(cls, d, "threat")
 
 
 @dataclass

@@ -46,10 +46,11 @@ DATASET_VERSION = 1
 class TrainingConfig:
     """Hyperparameters of one run.
 
-    `threat` is the training-time constraint (advpgd/trades); `eval_threat`
-    is what robust metrics and adversarial probes are computed against and
-    defaults to the training threat. Standard runs may set it explicitly so
-    their robustness and probe divergence can still be measured.
+    `threat` is the training-time constraint of advpgd and trades runs;
+    `eval_threat` is what robust metrics and adversarial probes are computed
+    against and defaults to the training threat. A standard run takes no
+    `threat`: it sets only `eval_threat`, so that its robustness and probe
+    divergence can still be measured.
     """
 
     method: str = "standard"
@@ -71,6 +72,8 @@ class TrainingConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.method in ("advpgd", "trades") and self.threat is None:
             raise ConfigError(f"{self.method} requires a threat")
+        if self.method == "standard" and self.threat is not None:
+            raise ConfigError("standard training takes no threat; set eval_threat instead")
         if self.method == "trades" and self.beta <= 0:
             raise ConfigError("trades requires beta > 0")
         if self.method == "trades" and self.threat.kind not in TRADES_KINDS:
@@ -98,13 +101,6 @@ class TrainingConfig:
             # evaluation convention: double the attack steps used in training
             return replace(self.threat, steps=2 * self.threat.steps)
         return None
-
-    def to_json(self) -> dict:
-        return errors.to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TrainingConfig":
-        return errors.from_json(cls, d, "training")
 
 
 @dataclass
@@ -213,13 +209,6 @@ class DatasetSpec:
         if not 0 < self.blob_sigma <= self.size:
             raise ConfigError("blob_sigma must be in (0, size]")
 
-    def to_json(self) -> dict:
-        return errors.to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DatasetSpec":
-        return errors.from_json(cls, d, "dataset")
-
 
 @dataclass
 class Dataset:
@@ -295,7 +284,7 @@ def save_dataset(data: Dataset, path) -> None:
         body.append(struct.pack("<4Q", *split.inputs.shape))
         body.append(np.ascontiguousarray(split.inputs, dtype="<f4"))
         body.append(np.ascontiguousarray(split.labels, dtype="<i4"))
-    trailer = {"spec": data.spec.to_json(), "seed": data.seed}
+    trailer = {"spec": errors.to_json(data.spec), "seed": data.seed}
     container.write(path, DATASET_MAGIC, DATASET_VERSION, 2, body, trailer)
 
 
@@ -312,7 +301,7 @@ def load_dataset(path) -> Dataset:
         splits[name] = (rd.array("<f4", shape), rd.array("<i4", shape[:1]))
     trailer = rd.trailer()
     try:
-        spec = DatasetSpec.from_json(trailer["spec"])
+        spec = errors.from_json(DatasetSpec, trailer["spec"], "dataset")
         return Dataset(Batch(*splits["train"]), Batch(*splits["val"]), spec, int(trailer["seed"]))
     except (KeyError, TypeError, ValueError, RslabError) as exc:
         raise FormatError(f"{path}: not a valid dataset: {exc!r}") from exc
@@ -444,7 +433,7 @@ def train(
         os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
         errors.write_json(
             os.path.join(out_dir, "config.json"),
-            {"schema_version": 1, "model_id": model_id, "training": config.to_json()},
+            {"schema_version": 1, "model_id": model_id, "training": errors.to_json(config)},
         )
     n_train = data.train.n
     lr = config.learning_rate

@@ -49,26 +49,6 @@ def cka_trace_form(k: np.ndarray, l: np.ndarray) -> float:
     return float(num / np.sqrt(dk * dl))
 
 
-def class_components(x: np.ndarray, y: np.ndarray, labels) -> tuple:
-    """Double-loop intra/inter sums over the centered Grams."""
-    h = centering_matrix(x.shape[0])
-    xc = h @ x
-    yc = h @ y
-    k = xc @ xc.T
-    l = yc @ yc.T
-    d = np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc)
-    intra = inter = 0.0
-    n = x.shape[0]
-    for i in range(n):
-        for j in range(n):
-            term = k[i, j] * l[i, j]
-            if labels[i] == labels[j]:
-                intra += term
-            else:
-                inter += term
-    return intra / d, inter / d
-
-
 def hsic_unbiased_loops(x: np.ndarray, y: np.ndarray) -> float:
     """Unbiased HSIC (Song et al. 2012) by a double loop over i != j.
 

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rslab import cli
+from rslab import cli, errors
 
 
 def run_cli(*argv):
@@ -118,6 +118,12 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("train", {}, {"method": "trades", "threat": {"kind": "snow", "epsilon": 0.1}}),
     ("train", {}, {"method": "advpgd", "threat": {"kind": "linf", "epsilon": -1}}),
     ("train", {}, {"checkpoint_every": -3}),
+    ("train", {}, {"learning_rate": float("nan")}),
+    ("train", {}, {"method": "trades", "beta": float("inf"),
+                   "threat": {"kind": "linf", "epsilon": 0.1}}),
+    ("train", {}, {"threat": {"kind": "linf", "epsilon": 0.05}}),
+    ("gen-data", {}, {"background": float("nan")}),
+    ("gen-data", {}, {"noise_std": float("nan")}),
     ("gen-data", {}, {"classes": "4"}),
     ("gen-data", {}, {"noise_std": "x"}),
     ("gen-data", {}, {"jitter": 1.5}),
@@ -139,6 +145,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
     "trades-snow", "threat-epsilon-negative", "checkpoint-every-negative",
+    "learning-rate-nan", "beta-infinity", "standard-with-threat", "background-nan", "noise-nan",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
     "experiment-metric-string", "experiment-metric-batch", "experiment-metric-foreign-params",
@@ -570,7 +577,7 @@ def test_npz_dataset_of_earlier_versions_exits_5(pipeline, tmp_path, capsys):
         old,
         train_x=data.train.inputs.astype(np.float32), train_y=data.train.labels,
         val_x=data.val.inputs.astype(np.float32), val_y=data.val.labels,
-        spec=json.dumps(data.spec.to_json(), sort_keys=True), seed=data.seed,
+        spec=json.dumps(errors.to_json(data.spec), sort_keys=True), seed=data.seed,
     )
     code = run_cli(
         "record", "--model", os.path.join(run_dir, "checkpoints", "epoch_002.rsck"),

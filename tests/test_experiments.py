@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rslab import experiments, nets, threats, training
+from rslab import errors, experiments, nets, threats, training
 from rslab.errors import ConfigError, ProbeMismatchError
 from rslab.simmetrics import MetricKind
 
@@ -341,11 +341,15 @@ def test_threatgrid_rejects_repeated_labels(tmp_path):
     assert not os.path.exists(out)
 
 
+def spec_from_json(d):
+    return errors.from_json(experiments.ExperimentSpec, d, "experiment")
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
         experiments.ExperimentSpec(kind="nope")
     with pytest.raises(ConfigError):
-        experiments.ExperimentSpec.from_json({"kind": "crosslayer", "bogus": 1})
+        spec_from_json({"kind": "crosslayer", "bogus": 1})
     for bad in (
         [], {}, {"runs": ["r"]}, {"kind": "crosslayer", "runs": None, "taps": [1, [2]]},
         {"kind": "crosslayer", "runs": "r"}, {"kind": "crosslayer", "min_lag": True},
@@ -382,20 +386,27 @@ def test_experiment_spec_validation():
         {"kind": "divergence", "runs": []},
         {"kind": "evolution", "runs": ["a", "b"]},
         {"kind": "threatgrid", "runs": ["a"]},
+        # negative lags and taps, refused before any dump is read
+        {"kind": "crosslayer", "runs": ["r"], "min_lag": -1},
+        {"kind": "grid", "runs": ["r"], "min_lag": -2},
+        {"kind": "evolution", "runs": ["r"], "taps": [-1]},
+        {"kind": "evolution", "runs": ["r"], "taps": [2, -3]},
     ):
         with pytest.raises(ConfigError):
-            experiments.ExperimentSpec.from_json(bad)
+            spec_from_json(bad)
     # each kind's own fields, and every field at its default
     for good in (
         {"kind": "crosslayer", "runs": ["r"], "condition": "adv", "min_lag": 2},
         {"kind": "grid", "runs": ["r"], "condition": "adv", "min_lag": 1},
         {"kind": "evolution", "runs": ["r"], "taps": [1]},
+        {"kind": "crosslayer", "runs": ["r"], "min_lag": 0},
+        {"kind": "evolution", "runs": ["r"], "taps": [0]},
         {"kind": "threatgrid", "runs": ["a", "b"], "labels": ["x", "y"]},
         {"kind": "divergence", "runs": ["r"], "condition": "benign", "labels": [],
          "min_lag": None},
     ):
-        experiments.ExperimentSpec.from_json(good)
-    spec = experiments.ExperimentSpec.from_json(
+        spec_from_json(good)
+    spec = spec_from_json(
         {"kind": "crosslayer", "runs": ["r"], "metric": {"name": "procrustes"}}
     )
     assert spec.metric.name == "procrustes"

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from rslab import errors
 from rslab import simmetrics as sm
 from rslab.activations import ActivationRecord, ActivationSet
 from rslab.errors import (
-    AlignmentError,
     ConfigError,
     EmptySelectionError,
     ProbeMismatchError,
@@ -159,14 +159,18 @@ def test_online_misalignment():
         sm.MetricKind("online_cka", batch=4).evaluate(np.zeros((8, 2)), np.zeros((9, 2)))
 
 
+def metric_from_json(d):
+    return errors.from_json(sm.MetricKind, d, "metric")
+
+
 def test_metric_defaults_live_in_metric_kind():
-    assert sm.MetricKind.from_json({"name": "svcca"}) == sm.MetricKind(
+    assert metric_from_json({"name": "svcca"}) == sm.MetricKind(
         "svcca", variance_fraction=0.99
     )
-    assert sm.MetricKind.from_json({"name": "online_cka"}) == sm.MetricKind(
+    assert metric_from_json({"name": "online_cka"}) == sm.MetricKind(
         "online_cka", batch=1024, passes=3, seed=0
     )
-    assert sm.MetricKind("online_cka", passes=1).to_json() == {
+    assert errors.to_json(sm.MetricKind("online_cka", passes=1)) == {
         "name": "online_cka", "batch": 1024, "passes": 1, "seed": 0,
     }
 
@@ -224,53 +228,6 @@ def test_hsic_unbiased_matches_loops_on_folded_batch():
     batches = list(sm._online_batches(19, sm.MetricKind("online_cka", 8, 1, 0)))
     assert [len(b) for b in batches] == [8, 11]  # the 3-row rest is folded
     _assert_hsic_matches_loops(x[batches[-1]], y[batches[-1]])
-
-
-# ---------------------------------------------------------------------------
-# class-conditional decomposition
-
-
-def test_class_decomposition_single_class():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(6, 3))
-    y = rng.normal(size=(6, 2))
-    intra, inter = sm.class_cka_decomposition(x, y, np.zeros(6, dtype=int))
-    assert inter == 0.0
-    assert intra == pytest.approx(CKA.evaluate(x, y), abs=1e-12)
-
-
-def test_class_decomposition_identity_sums_to_one():
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(10, 4))
-    intra, inter = sm.class_cka_decomposition(x, x, rng.integers(0, 3, 10))
-    assert intra + inter == pytest.approx(1.0, abs=1e-10)
-
-
-def test_class_decomposition_matches_loop_oracle():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        x = rng.normal(size=(8, 3))
-        y = rng.normal(size=(8, 3))
-        labels = rng.integers(0, 2, 8)
-        intra, inter = sm.class_cka_decomposition(x, y, labels)
-        o_intra, o_inter = oracles.class_components(x, y, labels)
-        assert intra == pytest.approx(o_intra, abs=1e-10)
-        assert inter == pytest.approx(o_inter, abs=1e-10)
-
-
-def test_class_decomposition_closure_many():
-    rng = np.random.default_rng(16)
-    for _ in range(100):
-        x = rng.normal(size=(9, 4))
-        y = rng.normal(size=(9, 3))
-        labels = rng.integers(0, 3, 9)
-        intra, inter = sm.class_cka_decomposition(x, y, labels)
-        assert intra + inter == pytest.approx(CKA.evaluate(x, y), abs=1e-10)
-
-
-def test_class_decomposition_label_mismatch():
-    with pytest.raises(AlignmentError):
-        sm.class_cka_decomposition(np.zeros((4, 2)), np.zeros((4, 2)), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +440,9 @@ def test_metric_kind_validation():
 
 def test_metric_kind_json_roundtrip():
     m = sm.MetricKind("online_cka", batch=32, passes=2, seed=9)
-    assert sm.MetricKind.from_json(m.to_json()) == m
+    assert metric_from_json(errors.to_json(m)) == m
     with pytest.raises(ConfigError):
-        sm.MetricKind.from_json({"name": "linear_cka", "bogus": 1})
+        metric_from_json({"name": "linear_cka", "bogus": 1})
 
 
 @pytest.mark.parametrize("d", [
@@ -495,7 +452,7 @@ def test_metric_kind_json_roundtrip():
 ], ids=["no-name", "string-batch", "string-fraction"])
 def test_metric_kind_from_json_rejects_bad_field_types(d):
     with pytest.raises(ConfigError):
-        sm.MetricKind.from_json(d)
+        metric_from_json(d)
 
 
 def test_crosslayer_self_symmetric_unit_diagonal():
@@ -740,7 +697,7 @@ def test_similarity_matrix_save_load(tmp_path):
         assert [r[0] for r in rows[1:]] == grid.row_names
         values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         assert np.abs(values - grid.values).max() <= 1e-9
-        assert sm.MetricKind.from_json(sidecar["metric"]) == grid.metric
+        assert metric_from_json(sidecar["metric"]) == grid.metric
         assert sidecar["degenerate"] == np.argwhere(grid.degenerate).tolist()
     assert grid.degenerate[1].all() and grid.degenerate.sum() == 2 * len(recs) - 1
     # a cell past the range by less than the contract's 1e-6 clamps the heatmap

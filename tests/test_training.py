@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rslab import activations, nets, threats, training
+from rslab import activations, errors, nets, threats, training
 from rslab.errors import ConfigError
 
 
@@ -296,6 +296,9 @@ def test_config_validation():
         training.TrainingConfig(method="nope")
     with pytest.raises(ConfigError):
         training.TrainingConfig(epochs=0)
+    # a standard run trains without its threat; eval_threat is what it measures
+    with pytest.raises(ConfigError, match="eval_threat"):
+        training.TrainingConfig(method="standard", threat=threats.ThreatModel("linf", 0.1))
     with pytest.raises(ConfigError):
         training.TrainingConfig(
             method="trades", threat=threats.ThreatModel("linf", 0.1), beta=0.0
@@ -309,8 +312,29 @@ def test_config_validation():
         method="advpgd", threat=threats.ThreatModel("linf", 0.1, steps=10)
     )
     assert cfg.effective_eval_threat().steps == 20
-    roundtrip = training.TrainingConfig.from_json(cfg.to_json())
+    roundtrip = errors.from_json(training.TrainingConfig, errors.to_json(cfg), "training")
     assert roundtrip == cfg
+
+
+def test_config_json_roundtrip_of_both_threats():
+    cfg = training.TrainingConfig(
+        method="advpgd", threat=threats.ThreatModel("l2", 0.5, steps=3, step_size=0.25),
+        eval_threat=threats.ThreatModel("snow", 0.2, steps=7), epochs=3,
+    )
+    doc = errors.to_json(cfg)
+    assert doc["threat"] == {"kind": "l2", "epsilon": 0.5, "steps": 3, "step_size": 0.25}
+    assert doc["eval_threat"] == {"kind": "snow", "epsilon": 0.2, "steps": 7}
+    assert json.loads(json.dumps(doc)) == doc
+    assert errors.from_json(training.TrainingConfig, doc, "training") == cfg
+    standard = training.TrainingConfig(eval_threat=threats.ThreatModel("linf", 0.1))
+    assert errors.from_json(training.TrainingConfig, errors.to_json(standard), "t") == standard
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", float("nan"), float("inf")])
+def test_bad_eval_threat_value_is_named(epsilon):
+    doc = {"eval_threat": {"kind": "linf", "epsilon": epsilon}}
+    with pytest.raises(ConfigError, match=r"^eval_threat .*'epsilon' must be"):
+        errors.from_json(training.TrainingConfig, doc, "training")
 
 
 # ---------------------------------------------------------------------------
