@@ -79,8 +79,9 @@ def from_json(cls, d, what: str):
     a JSON list) and nested dataclasses, which this function decodes under
     their field's name. Null means the field is absent. A non-object, an
     unknown key, a missing required key, a value of another type or a
-    non-finite float (JSON's NaN and Infinity) raises ConfigError; a bool is
-    never taken for a number.
+    non-finite float (JSON's NaN and Infinity, or an int too large for a
+    float) raises ConfigError; a bool is never taken for a number, and an
+    int given for a float stays an int.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object, got {d!r}")
@@ -113,8 +114,13 @@ def _decode(v, tp, name: str, where: str):
     allowed = (int, float) if tp is float else tp
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, allowed):
         raise ConfigError(f"{where} must be {tp.__name__}")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite")
+    if tp is float:
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where} must be finite")
     return v
 
 

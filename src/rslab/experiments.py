@@ -6,7 +6,8 @@ curves_*.csv / summary.json / heatmap_*.ppm into its output directory, and
 returns its summary scalars so callers can assert numbers instead of reading
 images. Re-running on unchanged inputs is byte-identical.
 Any two dumps compared must share a probe digest. A training run draws its
-probe from its seed, so `threatgrid` pairs only runs of one seed; compare
+probe from its seed, so `threatgrid` pairs only runs of one seed, and it
+checks that all its runs share a probe before it writes any output; compare
 other runs through `rslab record --data D --limit N` dumps of checkpoints.
 `grid` finds each run's (epsilon, width) cell in the run itself: epsilon is
 the training threat's in `config.json` (0.0 for a standard run, which has
@@ -66,6 +67,8 @@ class ExperimentSpec:
             raise ConfigError(f"{len(self.labels)} labels for {len(self.runs)} runs")
         if (self.min_lag or 0) < 0 or any(t < 0 for t in self.taps):
             raise ConfigError(f"min_lag and taps must be >= 0, got {self.min_lag}, {self.taps}")
+        if len(set(self.taps)) != len(self.taps):
+            raise ConfigError(f"taps are not distinct: {list(self.taps)}")
 
 
 def _final_probe(run_dir: str, condition: str):
@@ -266,7 +269,10 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
     """Pairwise benign cross-layer similarity between per-threat models.
 
     Each run's label, given or its directory's name, must be distinct and
-    nonempty and hold no '/' or '|'; else ConfigError before any output."""
+    nonempty and hold no '/' or '|'; else ConfigError before any output.
+    Every readable run's dump must share one probe, else ProbeMismatchError,
+    also before any output. Each model's layers are prepared once, and
+    `score_grid` scores every pair of models from them."""
     labels = spec.labels or tuple(os.path.basename(r.rstrip("/")) for r in spec.runs)
     if len(set(labels)) != len(labels):
         raise ConfigError(f"threatgrid labels are not distinct: {list(labels)}")
@@ -281,11 +287,14 @@ def run_threatgrid(spec: ExperimentSpec, out_dir: str):
             sets[label] = _final_probe(run, "benign")
         except (OSError, ValidationError) as exc:
             missing.append({"run": run, "error": str(exc)})
+    require_same_probe(*sets.values())
     names = list(sets)
+    layers = {a: [spec.metric.prepare(r.matrix) for r in s.records] for a, s in sets.items()}
     means = {}
     os.makedirs(out_dir, exist_ok=True)
     for a, b in itertools.combinations_with_replacement(names, 2):
-        sm = crosslayer_matrix(sets[a], sets[b], spec.metric)
+        sm = score_grid(spec.metric, layers[a], layers[b], sets[a].layer_names,
+                        sets[b].layer_names, sets[a], sets[b])
         sm.save(out_dir, f"threatgrid_{a}_vs_{b}")
         means[f"{a}|{b}"] = float(sm.values.mean())
     errors.write_json(os.path.join(out_dir, "summary.json"), {

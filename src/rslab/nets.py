@@ -175,7 +175,11 @@ def infer_shapes(layers, input_shape) -> list:
 
 @dataclass
 class NetworkGraph:
-    """Ordered layers + parameter tensors + tap points."""
+    """Ordered layers + parameter tensors + tap points.
+
+    `width_factor` is an int >= 1, `arch` a str and `seed` None or an int;
+    a bool is neither. A checkpoint's trailer gives all three.
+    """
 
     layers: list
     input_shape: tuple
@@ -188,6 +192,12 @@ class NetworkGraph:
     def __post_init__(self):
         if not self.layers:
             raise ValidationError("network needs at least one layer")
+        if not _is_int(self.width_factor) or self.width_factor < 1:
+            raise ValidationError(f"width factor must be an int >= 1, got {self.width_factor!r}")
+        if not isinstance(self.arch, str):
+            raise ValidationError(f"arch must be a str, got {self.arch!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise ValidationError(f"seed must be None or an int, got {self.seed!r}")
         self.input_shape = tuple(self.input_shape)
         self.output_shapes = infer_shapes(self.layers, self.input_shape)
         if not self.taps:
@@ -197,6 +207,10 @@ class NetworkGraph:
                 raise ValidationError(f"tap index {t!r} out of range")
         if self.params is not None:
             _check_params(self.layers, self.params)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_params(layers, params):

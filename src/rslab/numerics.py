@@ -3,9 +3,10 @@
 Activation matrices are plain 2-d numpy arrays with rows = probe points and
 columns = flattened units. `as_matrix` is the single validation gate: each
 of `center_columns`, `gram_factor` and `svd_truncate` funnels its input
-through it, and it is the one place a float32 activation record is widened
-to float64. `MetricKind.prepare` validates each layer here once; the pair
-steps in `simmetrics` work on what it returned and check nothing again.
+through it. `center_columns` always makes its own float64 copy, which is
+where a float32 activation record is widened. `MetricKind.prepare` widens,
+validates and centers each layer here once, through `center_columns`; the
+pair steps in `simmetrics` work on what it returned and check nothing again.
 """
 from __future__ import annotations
 
@@ -32,17 +33,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def center_columns(m, name: str = "matrix") -> np.ndarray:
-    """Subtract each column's mean, so every column sums to zero.
+    """A validated float64 copy of m with each column's mean subtracted, so
+    every column sums to zero.
 
-    When `as_matrix` made a float64 copy of m (a float32 record), the copy is
-    centred in place, so a layer has one float64 copy at a time; the caller's
-    own float64 m is left as it is.
+    The copy is always its own and is centered in place, so a layer has one
+    float64 copy at a time and the caller's m is never changed.
     """
-    c = as_matrix(m, name)
-    mean = c.mean(axis=0, keepdims=True)
-    if c is m or not c.flags.owndata:
-        return c - mean
-    c -= mean
+    c = as_matrix(np.array(m, dtype=np.float64), name)
+    c -= c.mean(axis=0, keepdims=True)
     return c
 
 

@@ -12,8 +12,9 @@ grids stay renderable.
 A metric's parameters and their defaults live only in `_PARAMS`, which
 `MetricKind` fills in from.
 
-Each metric runs in two steps: `MetricKind.prepare` does a layer's own work
-once, and a cheap pair step scores two prepared layers. `crosslayer_matrix`
+Each metric runs in two steps: `MetricKind.prepare` widens, validates and
+centers a layer once and does that metric's own work on it, and a cheap
+pair step scores two prepared layers. `crosslayer_matrix`
 prepares each distinct layer once per grid; `MetricKind.evaluate` also
 takes raw matrices and prepares them itself, so every caller runs the same
 code. `score_grid`, the one cell loop over prepared layers, builds
@@ -24,9 +25,10 @@ What each metric prepares, and what its pair step does:
 - linear CKA: the centered matrix, plus the n x n Gram and its norm for a
   wide layer (p > n) or |X^T X|_F for a tall one. Two wide layers pair
   through sum(K * L), any other pair through |Y^T X|_F^2.
-- online CKA: the column means and the layer's self-HSIC summed over the
+- online CKA: the centered matrix and the layer's self-HSIC summed over the
   batch schedule. The pair step walks the same schedule and accumulates
-  only the cross term, so values match the one-pass estimator bit for bit.
+  only the cross term over the same batch rows of the two centered layers,
+  so values match the one-pass estimator bit for bit.
   Each batch's unbiased HSIC is taken from its features, through |X^T Y|_F^2
   and the row norms and row sums of the two batches, when
   2 px py <= m (px + py); only a batch wider than that forms m x m Grams.
@@ -61,7 +63,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import as_matrix, center_columns, gram_factor, svd_truncate
+from .numerics import center_columns, gram_factor, svd_truncate
 from .ppm import write_heatmap
 
 
@@ -141,17 +143,16 @@ class PreparedLayer:
     """One n x p layer after `MetricKind.prepare`, ready for any pair step.
 
     `matrix` is what the pair step multiplies: the centered matrix (linear
-    CKA), the orthonormal basis (mean CCA), the unit-norm `gram_factor`
-    (Procrustes), the square factor with the centered layer's singular
-    values (SVCCA), or the validated float64 input (online CKA).
+    and online CKA), the orthonormal basis (mean CCA), the unit-norm
+    `gram_factor` (Procrustes), or the square factor with the centered
+    layer's singular values (SVCCA).
     `centered` is a tall SVCCA layer's centered n x p matrix, kept next to
     the p x p factor in `matrix` to map its directions back to the n rows.
-    `gram` is a wide layer's n x n Gram (linear CKA), `mean` the column
-    means (online CKA), and `norm` the layer's own denominator term:
-    |X^T X|_F for linear CKA, the summed self-HSIC for online CKA. Online
-    CKA keeps no batch: each step centres `matrix[idx]` with `mean` again
-    and scores it in feature space, or through m x m Grams when the batch is
-    wide (2 px py > m (px + py)).
+    `gram` is a wide layer's n x n Gram (linear CKA), and `norm` the layer's
+    own denominator term: |X^T X|_F for linear CKA, the summed self-HSIC
+    for online CKA. Online CKA keeps no batch: each step takes the rows
+    `matrix[idx]` of the centered layer and scores them in feature space, or
+    through m x m Grams when the batch is wide (2 px py > m (px + py)).
     `degenerate` marks a layer that scores 0 against anything.
     """
 
@@ -160,7 +161,6 @@ class PreparedLayer:
     degenerate: bool = False
     centered: np.ndarray | None = None
     gram: np.ndarray | None = None
-    mean: np.ndarray | None = None
     norm: float = 0.0
 
     @property
@@ -168,15 +168,7 @@ class PreparedLayer:
         return (self.matrix if self.centered is None else self.centered).shape[0]
 
 
-def _centered(x, name: str) -> np.ndarray:
-    x = center_columns(x, name)
-    if x.shape[0] < 2:
-        raise ShapeError(f"need at least 2 rows, got {x.shape[0]}")
-    return x
-
-
-def _prepare_linear_cka(kind, x, name):
-    x = _centered(x, name)
+def _prepare_linear_cka(kind, x):
     if x.shape[0] < x.shape[1]:
         # wide: |X^T X|_F = |K|_F through the smaller n x n Gram, made
         # exactly symmetric against BLAS rounding asymmetry
@@ -216,17 +208,14 @@ def _online_batches(n: int, kind):
             yield order[s:e]
 
 
-def _prepare_online_cka(kind, x, name):
-    x = as_matrix(x, name)
+def _prepare_online_cka(kind, x):
     if x.shape[0] < 4:
         raise ShapeError(f"need at least 4 points, got {x.shape[0]}")
-    # x[idx] - mean has the bits of (x - mean)[idx]: no centered copy is kept
-    mean = x.mean(axis=0, keepdims=True)
     self_hsic = 0.0
     for idx in _online_batches(x.shape[0], kind):
-        xb = x[idx] - mean
+        xb = x[idx]
         self_hsic += _hsic_unbiased(xb, xb)
-    return PreparedLayer(kind, x, mean=mean, norm=self_hsic)
+    return PreparedLayer(kind, x, norm=self_hsic)
 
 
 def _pair_online_cka(kind, a, b):
@@ -241,7 +230,7 @@ def _pair_online_cka(kind, a, b):
             a, b = b, a
         num = 0.0
         for idx in _online_batches(a.n, kind):
-            num += _hsic_unbiased(a.matrix[idx] - a.mean, b.matrix[idx] - b.mean)
+            num += _hsic_unbiased(a.matrix[idx], b.matrix[idx])
     return num / float(np.sqrt(a.norm * b.norm))
 
 
@@ -264,8 +253,7 @@ def _require_rows_over_cols(n: int, *cols: int) -> None:
         raise ShapeError(f"CCA needs rows > cols, got {n} rows vs {widths} cols")
 
 
-def _prepare_mean_cca(kind, x, name):
-    x = _centered(x, name)
+def _prepare_mean_cca(kind, x):
     _require_rows_over_cols(*x.shape)
     try:
         q = _orthonormal_basis(x)
@@ -280,10 +268,9 @@ def _pair_mean_cca(kind, a, b):
     return _canonical_mean(a.matrix.T @ b.matrix)
 
 
-def _prepare_svcca(kind, x, name):
+def _prepare_svcca(kind, x):
     # factor once, but truncate in the pair step: the traced self-check in
     # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
-    x = center_columns(x, name)
     tall = x.shape[1] < x.shape[0]
     # a tall x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
     f = np.linalg.qr(x, mode="r").T if tall else gram_factor(x)
@@ -320,12 +307,11 @@ def _pair_svcca(kind, a, b):
     return _canonical_mean(_in_rows(a, wx).T @ _in_rows(b, wy))
 
 
-def _prepare_procrustes(kind, x, name):
-    x = _centered(x, name)
+def _prepare_procrustes(kind, x):
     f = np.linalg.norm(x)
     if f == 0.0:
         return PreparedLayer(kind, x, True)
-    x /= f  # the centred matrix is this layer's own copy
+    x /= f  # the centered matrix is this layer's own copy
     return PreparedLayer(kind, gram_factor(x))
 
 
@@ -340,7 +326,7 @@ def _pair_procrustes(kind, a, b):
     return min(max(2.0 * float(_singular_values(x.T @ y).sum()), 0.0), 2.0)
 
 
-# per metric: (prepare one layer, score a pair of prepared layers)
+# per metric: (prepare one centered layer, score a pair of prepared layers)
 _STEPS = {
     "linear_cka": (_prepare_linear_cka, _pair_linear_cka),
     "online_cka": (_prepare_online_cka, _pair_online_cka),
@@ -416,10 +402,15 @@ class MetricKind:
     def prepare(self, x, name: str = "x") -> PreparedLayer:
         """Validate one n x p layer and do this metric's per-layer work once.
 
-        A float32 layer is widened once, by `as_matrix`; a metric that
-        centres the layer does so in that copy.
+        This is the one place a layer is widened, validated and centered:
+        `center_columns` makes its own float64 copy, centered in place, and
+        a layer needs at least 2 rows. The metric's step gets that copy and
+        may keep it or scale it in place.
         """
-        return _STEPS[self.name][0](self, x, name)
+        x = center_columns(x, name)
+        if x.shape[0] < 2:
+            raise ShapeError(f"need at least 2 rows, got {x.shape[0]}")
+        return _STEPS[self.name][0](self, x)
 
     def evaluate(self, x, y) -> float:
         """Score one pair of layers, given raw or as `prepare` returned them."""

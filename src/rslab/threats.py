@@ -44,7 +44,8 @@ class ThreatModel:
 
     Epsilon units: pixel scale for linf/l2, coefficient scale for jpeg,
     amplitude scale for gabor/snow. When step_size is None the attacks use
-    2.5 * epsilon / steps.
+    2.5 * epsilon / steps, so an epsilon for which 2.5 * epsilon is not
+    finite is refused.
     """
 
     kind: str
@@ -55,8 +56,12 @@ class ThreatModel:
     def __post_init__(self):
         if self.kind not in THREAT_KINDS:
             raise KindError(f"unknown threat kind {self.kind!r}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        # the default step 2.5 * epsilon / steps, and the linf start draw over
+        # [-epsilon, epsilon], must not overflow
+        if not np.isfinite(2.5 * self.epsilon) or self.epsilon < 0:
+            raise ConfigError(
+                f"epsilon must be >= 0 with 2.5 * epsilon finite, got {self.epsilon}"
+            )
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.step_size is not None and not (

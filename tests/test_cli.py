@@ -117,6 +117,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("train", {}, {"method": "advpgd", "threat": {"kind": "nope", "epsilon": 0.1}}),
     ("train", {}, {"method": "trades", "threat": {"kind": "snow", "epsilon": 0.1}}),
     ("train", {}, {"method": "advpgd", "threat": {"kind": "linf", "epsilon": -1}}),
+    ("train", {}, {"method": "advpgd", "threat": {"kind": "linf", "epsilon": 1e308}}),
     ("train", {}, {"checkpoint_every": -3}),
     ("train", {}, {"learning_rate": float("nan")}),
     ("train", {}, {"method": "trades", "beta": float("inf"),
@@ -124,6 +125,7 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("train", {}, {"threat": {"kind": "linf", "epsilon": 0.05}}),
     ("gen-data", {}, {"background": float("nan")}),
     ("gen-data", {}, {"noise_std": float("nan")}),
+    ("gen-data", {}, {"noise_std": 10 ** 400}),  # an int too large for a float
     ("gen-data", {}, {"classes": "4"}),
     ("gen-data", {}, {"noise_std": "x"}),
     ("gen-data", {}, {"jitter": 1.5}),
@@ -141,15 +143,17 @@ def test_train_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("experiment", {}, {"kind": "transfer"}),
     # valid but for a field its kind does not read, on a real run
     ("experiment", {}, {"kind": "evolution", "condition": "adv"}),
+    ("experiment", {}, {"kind": "evolution", "taps": [2, 2]}),
 ], ids=[
     "epochs-string", "training-string", "width-string", "width-zero", "model-id-list",
     "classes", "batch-size-zero", "probe-size-zero", "lr-decay-int", "threat-kind",
-    "trades-snow", "threat-epsilon-negative", "checkpoint-every-negative",
-    "learning-rate-nan", "beta-infinity", "standard-with-threat", "background-nan", "noise-nan",
+    "trades-snow", "threat-epsilon-negative", "threat-epsilon-overflow",
+    "checkpoint-every-negative", "learning-rate-nan", "beta-infinity", "standard-with-threat",
+    "background-nan", "noise-nan", "noise-huge-int",
     "classes-string", "noise-string", "jitter-float", "jitter-negative",
     "channels-negative", "n-val-zero", "experiment-metric-name", "experiment-metric-key",
     "experiment-metric-string", "experiment-metric-batch", "experiment-metric-foreign-params",
-    "experiment-kind-transfer", "experiment-foreign-field",
+    "experiment-kind-transfer", "experiment-foreign-field", "evolution-repeated-taps",
 ])
 def test_bad_config_exits_2(pipeline, tmp_path, capsys, command, top, section):
     _, data_path, _, run_dir = pipeline
@@ -248,7 +252,9 @@ def test_record_rejects_adversarial_flags(pipeline, tmp_path, capsys, flags):
 def test_attack_bad_threat_values_exit_2(pipeline, tmp_path, capsys):
     _, data_path, _, run_dir = pipeline
     model = os.path.join(run_dir, "checkpoints", "epoch_002.rsck")
-    for i, (eps, steps) in enumerate((("nan", "1"), ("inf", "1"), ("-0.1", "1"), ("0.1", "0"))):
+    # at 1e308, 2.5 * eps (the default step times steps) is not finite
+    cases = (("nan", "1"), ("inf", "1"), ("-0.1", "1"), ("0.1", "0"), ("1e308", "1"))
+    for i, (eps, steps) in enumerate(cases):
         out = tmp_path / f"atk{i}"
         code = run_cli(
             "attack", "--model", model, "--data", data_path, "--threat", "linf",
@@ -365,6 +371,8 @@ def test_threatgrid_refuses_runs_of_different_probes(seeded_runs, tmp_path, caps
     assert _threatgrid(tmp_path, runs["a"], runs["b"]) == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and "--limit" in err["message"]
+    # the (a, a) pair alone is fine, yet the probe check comes before any output
+    assert sorted(os.listdir(tmp_path)) == ["tg.json"]
 
 
 @pytest.mark.parametrize("labels", [["a|b", "a"], ["x/y", "a"], ["", "a"]],
@@ -505,6 +513,34 @@ def test_experiment_bad_metric_exits_2(tmp_path, capsys, metric):
     )
     assert run_cli("experiment", "--spec", spec, "--out", str(tmp_path / "exp")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_checkpoint_of_bad_trailer_types_exits_5_and_is_missing_from_grid(
+    pipeline, seeded_runs, tmp_path, capsys
+):
+    from rslab import nets
+
+    _, data_path, _, run_dir = pipeline
+    _, runs = seeded_runs
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    checkpoint = str(run / "checkpoints" / "epoch_002.rsck")
+    net = nets.load_checkpoint(checkpoint)
+    net.width_factor = "x"  # the trailer's "width": "x"
+    nets.save_checkpoint(net, checkpoint, epoch=2)
+    code = run_cli("attack", "--model", checkpoint, "--data", data_path, "--threat", "linf",
+                   "--eps", "0.1", "--limit", "8", "--out", str(tmp_path / "atk"))
+    assert code == 5
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    spec = write_json(tmp_path / "grid.json", {
+        "schema_version": 1, "experiment": {"kind": "grid", "runs": [str(run), runs["a"]]},
+    })
+    out = str(tmp_path / "grid")
+    assert run_cli("experiment", "--spec", spec, "--out", out) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert [m["run"] for m in summary["missing"]] == [str(run)]
+    assert summary["eps_axis"] == [0.0] and summary["width_axis"] == [1]
 
 
 @pytest.mark.parametrize("name,corrupt", [

@@ -327,6 +327,24 @@ def test_threatgrid_pair_means(tiny_run, tmp_path):
     assert os.path.exists(os.path.join(out, "matrix_threatgrid_x_vs_y.csv"))
 
 
+def test_threatgrid_prepares_each_model_once(tiny_run, tmp_path, monkeypatch):
+    run_dir, _ = tiny_run
+    prepared = []
+    prepare = MetricKind.prepare
+
+    def counted(self, x, name="x"):
+        prepared.append(self.name)
+        return prepare(self, x, name)
+
+    monkeypatch.setattr(MetricKind, "prepare", counted)
+    spec = experiments.ExperimentSpec(
+        kind="threatgrid", runs=(run_dir,) * 3, labels=("x", "y", "z")
+    )
+    names, _ = experiments.run_threatgrid(spec, str(tmp_path / "tg"))
+    layers = len(experiments._final_probe(run_dir, "benign").records)
+    assert len(names) == 3 and len(prepared) == 3 * layers
+
+
 def test_threatgrid_rejects_repeated_labels(tmp_path):
     out = str(tmp_path / "tg")
     defaulted = tuple(str(tmp_path / d / "model") for d in "abc")  # all label "model"

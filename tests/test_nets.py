@@ -416,6 +416,9 @@ def test_checkpoint_rejects_inconsistent_files(tmp_path):
         ),
         "tensor name not utf-8": raw[:name_at] + b"\xff" + raw[name_at + 1 :],
         "trailer without layers": _with_trailer(raw, lambda t: t.pop("layers")),
+        "width not an int": _with_trailer(raw, lambda t: t.update(width="x")),
+        "arch not a str": _with_trailer(raw, lambda t: t.update(arch=3)),
+        "seed not an int": _with_trailer(raw, lambda t: t.update(seed="12")),
     }
     bad = tmp_path / "bad.rsck"
     for image in cases.values():
@@ -449,6 +452,15 @@ def test_residual_shape_mismatch_rejected():
         )
     with pytest.raises(ShapeError):
         nets.NetworkGraph([nets.ResidualAdd(0)], (1, 4, 4))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("width_factor", "x"), ("width_factor", True), ("width_factor", 0), ("width_factor", 1.0),
+    ("arch", 3), ("arch", None), ("seed", "1"), ("seed", True), ("seed", 1.5),
+])
+def test_graph_rejects_bad_field_types(field, value):
+    with pytest.raises(ValidationError):
+        nets.NetworkGraph([nets.Flatten()], (1, 2, 2), **{field: value})
 
 
 def test_conv_geometry_rejected():

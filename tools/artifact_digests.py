@@ -5,7 +5,8 @@
 runs a tiny fixed-seed sequence through `rslab.cli.main` into the empty or
 absent directory OUT: gen-data; standard, advpgd and TRADES training; all
 five attacks; record; compare with all five metrics; and all five
-experiment kinds, the threatgrid over two runs of one seed. It then prints
+experiment kinds, crosslayer both with Procrustes and with online CKA, the
+threatgrid over three runs of one seed. It then prints
 `sha256  relpath` for every file under OUT, sorted by path. The specs and
 configs it feeds rslab go to a temporary directory, so OUT holds only what
 rslab wrote and two runs into different directories print the same lines
@@ -75,17 +76,20 @@ def produce(out: str, inputs: str) -> None:
         online = ["--batch", "16", "--passes", "2"] if metric == "online_cka" else []
         run("compare", "--a", dumps[0], "--b", dumps[1], "--metric", metric, *online,
             "--out", os.path.join(out, "compare", metric))
+    # per output directory: the experiment kind and its fields
     experiments = {
-        "crosslayer": {"runs": [runs["advpgd"]], "metric": {"name": "procrustes"}},
-        "grid": {"runs": [runs["standard"], runs["advpgd"]]},
-        "divergence": {"runs": [runs["advpgd"]]},
-        "evolution": {"runs": [runs["advpgd"]]},
-        "threatgrid": {"runs": [runs["standard"], runs["trades"]]},
+        "crosslayer": ("crosslayer", {"runs": [runs["advpgd"]], "metric": {"name": "procrustes"}}),
+        "crosslayer_online": ("crosslayer", {"runs": [runs["advpgd"]], "metric": {
+            "name": "online_cka", "batch": 16, "passes": 2}}),
+        "grid": ("grid", {"runs": [runs["standard"], runs["advpgd"]]}),
+        "divergence": ("divergence", {"runs": [runs["advpgd"]]}),
+        "evolution": ("evolution", {"runs": [runs["advpgd"]]}),
+        "threatgrid": ("threatgrid", {"runs": [runs["standard"], runs["trades"], runs["advpgd"]]}),
     }
-    for kind, fields in experiments.items():
-        spec = _json(os.path.join(inputs, f"{kind}.json"),
+    for name, (kind, fields) in experiments.items():
+        spec = _json(os.path.join(inputs, f"{name}.json"),
                      {"experiment": {"kind": kind, **fields}})
-        run("experiment", "--spec", spec, "--out", os.path.join(out, "experiments", kind))
+        run("experiment", "--spec", spec, "--out", os.path.join(out, "experiments", name))
 
 
 def digests(out: str) -> list:
