@@ -7,8 +7,25 @@ through it. `center_columns` always makes its own float64 copy, which is
 where a float32 activation record is widened. `MetricKind.prepare` widens,
 validates and centers each layer here once, through `center_columns`; the
 pair steps in `simmetrics` work on what it returned and check nothing again.
+
+`_one_blas_thread` runs a block with numpy's bundled OpenBLAS on one thread
+and gives the caller's thread count back when the block ends, also when it
+raises. `MetricKind.prepare` and `MetricKind.evaluate` run their metric step
+inside it for a layer of at most `simmetrics._ONE_BLAS_THREAD_ROWS` (512)
+rows, where OpenBLAS's second thread makes small factorizations slower, not
+faster. It finds the library once, through `ctypes` (this is the package's
+one native call), and does nothing when numpy has no bundled OpenBLAS. Only
+the similarity metrics are capped: `nets` and `threats`, and layers of more
+rows, keep OpenBLAS's own thread count. The count is process-wide, so the
+cap assumes that one thread of the process does BLAS work at a time.
 """
 from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -84,3 +101,47 @@ def svd_truncate(m, variance_fraction: float) -> np.ndarray:
     k = int(np.searchsorted(cum, variance_fraction * total - 1e-12 * total)) + 1
     k = min(k, len(s))
     return u[:, :k] * s[:k]
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found once; None when numpy carries no OpenBLAS of its own."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None without the library."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def _set_blas_threads(n: int) -> None:
+    _openblas()[1](n)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count."""
+    before = _blas_threads()
+    if before is None:
+        yield
+        return
+    _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)

@@ -25,10 +25,11 @@ What each metric prepares, and what its pair step does:
 - linear CKA: the centered matrix, plus the n x n Gram and its norm for a
   wide layer (p > n) or |X^T X|_F for a tall one. Two wide layers pair
   through sum(K * L), any other pair through |Y^T X|_F^2.
-- online CKA: the centered matrix and the layer's self-HSIC summed over the
-  batch schedule. The pair step walks the same schedule and accumulates
-  only the cross term over the same batch rows of the two centered layers,
-  so values match the one-pass estimator bit for bit.
+- online CKA: the centered matrix, the layer's self-HSIC summed over the
+  batch schedule, and each batch's row norms and row sums. The pair step
+  walks the same schedule and accumulates only the cross term over the same
+  batch rows of the two centered layers, reading the kept row terms, so
+  values match the one-pass estimator bit for bit.
   Each batch's unbiased HSIC is taken from its features, through |X^T Y|_F^2
   and the row norms and row sums of the two batches, when
   2 px py <= m (px + py); only a batch wider than that forms m x m Grams.
@@ -46,10 +47,18 @@ What each metric prepares, and what its pair step does:
 A layer enters only through its n x n Gram, so the Gram and factor forms
 above, chosen from the shapes alone, equal the feature-space ones in exact
 arithmetic and change no value beyond rounding.
+
+A layer of at most `_ONE_BLAS_THREAD_ROWS` (512) rows runs its prepare and
+pair steps on one OpenBLAS thread (`numerics._one_blas_thread`): there the
+second thread makes the small factorizations and products slower, and a
+small-probe grid's bits no longer depend on the caller's thread count. The
+cap does nothing when numpy has no bundled OpenBLAS. Larger layers, and
+`nets` and `threats`, keep OpenBLAS's own thread count.
 """
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,8 +72,27 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import center_columns, gram_factor, svd_truncate
+from .numerics import _one_blas_thread, center_columns, gram_factor, svd_truncate
 from .ppm import write_heatmap
+
+
+# A layer of at most this many rows runs its prepare and pair steps on one
+# OpenBLAS thread. Prepare plus the grid of four random float32 layers for
+# linear CKA, SVCCA and Procrustes (and mean CCA where n > p), best of 3,
+# two runs per side, OpenBLAS 0.3.31 on two x86-64 cores, 2 -> 1 threads:
+# 96 x 2048 150-190 -> 92-95 ms, 256 x 2048 654-753 -> 514-623 ms,
+# 512 x 128 244-245 -> 169-180 ms and 1024 x 256 803-822 -> 672-688 ms;
+# 512 x 2048 broke even (2.41-2.74 -> 2.45-3.22 s over two series), and
+# 1024 x 2048 14.3-16.4 -> 20.2-20.6 s and 8192 x 256 2.04-2.45 ->
+# 2.54-2.71 s lost. SVDs and QRs gain most; large GEMMs and Grams still
+# gain from the second thread.
+_ONE_BLAS_THREAD_ROWS = 512
+
+
+def _blas_threads_for(n: int):
+    """One OpenBLAS thread for a layer of at most `_ONE_BLAS_THREAD_ROWS`
+    rows; OpenBLAS's own thread count above."""
+    return _one_blas_thread() if n <= _ONE_BLAS_THREAD_ROWS else nullcontext()
 
 
 def _zero_diagonal_gram(m: np.ndarray) -> np.ndarray:
@@ -81,7 +109,7 @@ def _row_terms(x: np.ndarray):
     return d, x @ x.sum(axis=0) - d
 
 
-def _hsic_unbiased(x: np.ndarray, y: np.ndarray) -> float:
+def _hsic_unbiased(x: np.ndarray, y: np.ndarray, tx=None, ty=None) -> float:
     """Diagonal-excluded U-statistic HSIC of two m-row batches; needs m >= 4.
 
     With K~ and L~ the zero-diagonal Grams, d = diag(K) the squared row
@@ -90,6 +118,8 @@ def _hsic_unbiased(x: np.ndarray, y: np.ndarray) -> float:
     2 px py <= m (px + py) they come from the features:
     sum(K~ * L~) = |X^T Y|_F^2 - d_x . d_y and k = X (X^T 1) - d. Otherwise
     they come from the two m x m Grams. Pass y is x for the self term.
+    tx and ty are `_row_terms` of x and y when the caller kept them; the
+    feature route computes the missing ones.
     """
     m = x.shape[0]
     if m < 4:
@@ -102,8 +132,8 @@ def _hsic_unbiased(x: np.ndarray, y: np.ndarray) -> float:
     # For p <= m the copied GEMM took at most 1.3x the Gram's time
     # (m of 96 to 1024, OpenBLAS on two x86-64 cores).
     if 2 * px * py <= m * (px + py):
-        dx, kx = _row_terms(x)
-        dy, ky = (dx, kx) if y is x else _row_terms(y)
+        dx, kx = _row_terms(x) if tx is None else tx
+        dy, ky = (dx, kx) if y is x else _row_terms(y) if ty is None else ty
         c = x.T @ (y.copy() if y is x else y)
         kl = float((c * c).sum()) - float(dx @ dy)
     else:
@@ -153,6 +183,8 @@ class PreparedLayer:
     for online CKA. Online CKA keeps no batch: each step takes the rows
     `matrix[idx]` of the centered layer and scores them in feature space, or
     through m x m Grams when the batch is wide (2 px py > m (px + py)).
+    It keeps `row_terms`, each batch's `_row_terms` in schedule order
+    (2n floats per pass), which the feature route reads.
     `degenerate` marks a layer that scores 0 against anything.
     """
 
@@ -162,6 +194,7 @@ class PreparedLayer:
     centered: np.ndarray | None = None
     gram: np.ndarray | None = None
     norm: float = 0.0
+    row_terms: tuple = ()
 
     @property
     def n(self) -> int:
@@ -211,11 +244,12 @@ def _online_batches(n: int, kind):
 def _prepare_online_cka(kind, x):
     if x.shape[0] < 4:
         raise ShapeError(f"need at least 4 points, got {x.shape[0]}")
-    self_hsic = 0.0
+    self_hsic, terms = 0.0, []
     for idx in _online_batches(x.shape[0], kind):
         xb = x[idx]
-        self_hsic += _hsic_unbiased(xb, xb)
-    return PreparedLayer(kind, x, norm=self_hsic)
+        terms.append(_row_terms(xb))
+        self_hsic += _hsic_unbiased(xb, xb, terms[-1])
+    return PreparedLayer(kind, x, norm=self_hsic, row_terms=tuple(terms))
 
 
 def _pair_online_cka(kind, a, b):
@@ -229,8 +263,9 @@ def _pair_online_cka(kind, a, b):
         if _hsic_swap(a.matrix, b.matrix, a.norm, b.norm):
             a, b = b, a
         num = 0.0
-        for idx in _online_batches(a.n, kind):
-            num += _hsic_unbiased(a.matrix[idx], b.matrix[idx])
+        batches = _online_batches(a.n, kind)
+        for idx, ta, tb in zip(batches, a.row_terms, b.row_terms):
+            num += _hsic_unbiased(a.matrix[idx], b.matrix[idx], ta, tb)
     return num / float(np.sqrt(a.norm * b.norm))
 
 
@@ -410,7 +445,8 @@ class MetricKind:
         x = center_columns(x, name)
         if x.shape[0] < 2:
             raise ShapeError(f"need at least 2 rows, got {x.shape[0]}")
-        return _STEPS[self.name][0](self, x)
+        with _blas_threads_for(x.shape[0]):
+            return _STEPS[self.name][0](self, x)
 
     def evaluate(self, x, y) -> float:
         """Score one pair of layers, given raw or as `prepare` returned them."""
@@ -420,7 +456,8 @@ class MetricKind:
             raise ValidationError(f"layer was not prepared for {self!r}")
         if a.n != b.n:
             raise ShapeError(f"row counts differ: {a.n} vs {b.n}")
-        return _STEPS[self.name][1](self, a, b)
+        with _blas_threads_for(a.n):
+            return _STEPS[self.name][1](self, a, b)
 
 
 @dataclass

@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from rslab import errors
+from rslab import errors, numerics
 from rslab import simmetrics as sm
 from rslab.activations import ActivationRecord, ActivationSet
 from rslab.errors import (
     ConfigError,
     EmptySelectionError,
+    NumericalError,
     ProbeMismatchError,
     ShapeError,
     ValidationError,
@@ -672,6 +673,104 @@ def test_svcca_row_mismatch_raises():
             metric.evaluate(x, y)
         with pytest.raises(ShapeError):
             metric.evaluate(metric.prepare(x), metric.prepare(y))
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def _require_openblas():
+    if numerics._openblas() is None:
+        pytest.skip("numpy has no bundled OpenBLAS whose thread count can be set")
+
+
+def _relu_set(rng, n, p, layers=4):
+    recs = [
+        ActivationRecord(f"l{i}", i, np.maximum(rng.normal(size=(n, p)), 0.0).astype(np.float32))
+        for i in range(layers)
+    ]
+    return ActivationSet(recs, rng.integers(0, 2, n), {"model_id": "m"})
+
+
+def test_small_probe_scores_do_not_depend_on_blas_threads():
+    _require_openblas()
+    rng = np.random.default_rng(44)
+    # analysis-wide's stem taps: wide enough that OpenBLAS would thread the
+    # Grams and products of every layer on two threads
+    wide = _relu_set(rng, 96, 2048)
+    tall = _relu_set(rng, 512, 64)
+    grids = [(wide, CKA), (wide, sm.MetricKind("svcca", variance_fraction=0.99)),
+             (wide, PROCRUSTES), (tall, CCA)]
+    caller = numerics._blas_threads()
+    try:
+        values = {}
+        for threads in (1, 2):
+            numerics._set_blas_threads(threads)
+            values[threads] = []
+            for s, metric in grids:
+                values[threads].append(sm.crosslayer_matrix(s, s, metric).values.tobytes())
+                assert numerics._blas_threads() == threads
+        assert values[1] == values[2]
+    finally:
+        numerics._set_blas_threads(caller)
+
+
+def test_blas_threads_come_back_when_a_step_raises(monkeypatch):
+    _require_openblas()
+    rng = np.random.default_rng(45)
+    caller = numerics._blas_threads()
+    try:
+        numerics._set_blas_threads(2)
+        with pytest.raises(ShapeError):  # mean CCA's prepare step: rows <= cols
+            CCA.prepare(rng.normal(size=(8, 9)))
+        assert numerics._blas_threads() == 2
+        a, b = PROCRUSTES.prepare(rng.normal(size=(12, 3))), PROCRUSTES.prepare(rng.normal(size=(12, 5)))
+
+        def no_convergence(m):
+            raise NumericalError("SVD did not converge")
+
+        monkeypatch.setattr(sm, "_singular_values", no_convergence)
+        with pytest.raises(NumericalError):  # the pair step
+            PROCRUSTES.evaluate(a, b)
+        assert numerics._blas_threads() == 2
+    finally:
+        numerics._set_blas_threads(caller)
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS, ids=lambda m: m.name)
+def test_one_blas_thread_up_to_the_row_limit(monkeypatch, metric):
+    _require_openblas()
+    caller = numerics._blas_threads()
+    setter = numerics._set_blas_threads
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        setter(n)
+
+    monkeypatch.setattr(numerics, "_set_blas_threads", counted)
+    rng = np.random.default_rng(46)
+    limit = sm._ONE_BLAS_THREAD_ROWS
+    pairs, scores = {}, {}
+    for n, capped in ((limit, True), (limit + 1, False)):
+        x, y = pairs[n] = rng.normal(size=(n, 6)), rng.normal(size=(n, 5))
+        once = [1, caller] if capped else []
+        calls.clear()
+        a, b = metric.prepare(x), metric.prepare(y)
+        assert calls == 2 * once
+        calls.clear()
+        scores[n] = metric.evaluate(a, b)
+        assert calls == once
+        calls.clear()
+        assert metric.evaluate(x, y) == scores[n]
+        assert calls == 3 * once  # both prepares and the pair step
+        assert numerics._blas_threads() == caller
+    # without the library the steps run as they are, set nothing and score
+    # the same: layers this narrow stay below OpenBLAS's threading sizes
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
+    calls.clear()
+    assert metric.evaluate(*pairs[limit]) == scores[limit]
+    assert calls == []
 
 
 def test_similarity_matrix_save_load(tmp_path):
