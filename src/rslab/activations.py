@@ -3,10 +3,17 @@
 A dump holds one matrix per tapped layer, recorded over a fixed probe set,
 together with per-point class labels and a JSON manifest. Records stay
 float32 from the tap to the metric: `record_activations` keeps the float32
-taps `nets.forward` returns, `write_dump` writes them without a copy,
-`read_dump` returns read-only float32 views into the file's bytes, and each
-metric widens a layer to float64 once, in `MetricKind.prepare`. A recording
-therefore holds exactly what its dump reloads.
+taps `nets.forward` returns, `write_dump` writes them without a copy, and
+each metric widens a layer to float64 once, in `MetricKind.prepare`. A
+recording therefore holds exactly what its dump reloads.
+
+`read_dump` checks the whole file once and then keeps, per record, only
+where its payload lies; a record's payload is read from the file, as a
+read-only float32 array, each time its `matrix` is read, and nothing of it
+is cached. An analysis thus holds its prepared layers and the raw layers in
+use at that moment, not the dump. The file must stay unchanged while its
+set is in use: a read after the file was rewritten, truncated or replaced
+raises FormatError.
 
 The manifest is the one place a dump states its input condition
 (`{"kind": "benign"}`, or `{"kind": "adversarial", "threat": ..., "epsilon":
@@ -45,35 +52,40 @@ MAGIC = b"RSAM"
 VERSION = 2
 
 
-@dataclass
 class ActivationRecord:
     """One layer's n x p activation matrix, float32 or float64.
 
-    A float32 or float64 array is kept as given, without a cast or a copy;
-    anything else becomes float64.
+    `matrix` is given as an array, kept as given, without a cast or a copy,
+    when it is float32 or float64 and made float64 otherwise; or, from
+    `read_dump`, as the `container.Extent` of a dump's payload, which the
+    record reads from the file each time `matrix` is read. `n` and `p` come
+    from the stored shape, so neither reads the file.
     """
 
-    layer_name: str
-    layer_index: int
-    matrix: np.ndarray  # (n, p) float32 or float64
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        self.matrix = m if m.dtype == np.float32 else np.asarray(m, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.size == 0:
-            raise ShapeError(
-                f"record {self.layer_name!r} matrix must be nonempty 2-d"
-            )
-        if self.layer_index < 0:
+    def __init__(self, layer_name: str, layer_index: int, matrix):
+        if not isinstance(matrix, container.Extent):
+            m = np.asarray(matrix)
+            matrix = m if m.dtype == np.float32 else np.asarray(m, dtype=np.float64)
+        if len(matrix.shape) != 2 or 0 in matrix.shape:
+            raise ShapeError(f"record {layer_name!r} matrix must be nonempty 2-d")
+        if layer_index < 0:
             raise ValidationError("layer_index must be >= 0")
+        self.layer_name = layer_name
+        self.layer_index = layer_index
+        self._stored = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:  # (n, p) float32 or float64
+        m = self._stored
+        return m.read() if isinstance(m, container.Extent) else m
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._stored.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[1]
+        return self._stored.shape[1]
 
 
 @dataclass
@@ -148,16 +160,20 @@ def write_dump(aset: ActivationSet, path) -> None:
 def read_dump(path) -> ActivationSet:
     """Read an RSAM file back into an ActivationSet.
 
-    Each record is a read-only float32 view into the file's bytes. The
-    shape invariants are `ActivationRecord`'s and `ActivationSet`'s; a
-    violation of one raises ManifestError.
+    Every check runs here, on the whole file, payloads included. Each record
+    then keeps only where its payload lies, and reads it from the file, as a
+    read-only float32 array checked finite again, each time its `matrix` is
+    read. The file must stay unchanged while the set is in use; a read after
+    it was rewritten, truncated or replaced raises FormatError. The shape
+    invariants are `ActivationRecord`'s and `ActivationSet`'s; a violation
+    of one raises ManifestError.
     """
     rd = container.Reader(path, MAGIC, VERSION)
     records = []
     for _ in range(rd.count):
         name = rd.name()
         layer_index, n, p = rd.unpack("<IQQ")
-        records.append((name, layer_index, rd.array("<f4", (n, p))))
+        records.append((name, layer_index, rd.extent("<f4", (n, p))))
     (label_count,) = rd.unpack("<Q")
     labels = rd.array("<i4", (label_count,)).astype(np.int64)
     manifest = rd.trailer()

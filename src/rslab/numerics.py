@@ -13,10 +13,12 @@ and gives the caller's thread count back when the block ends, also when it
 raises. `MetricKind.prepare` and `MetricKind.evaluate` run their metric step
 inside it for a layer of at most `simmetrics._ONE_BLAS_THREAD_ROWS` (512)
 rows, where OpenBLAS's second thread makes small factorizations slower, not
-faster. It finds the library once, through `ctypes` (this is the package's
-one native call), and does nothing when numpy has no bundled OpenBLAS. Only
-the similarity metrics are capped: `nets` and `threats`, and layers of more
-rows, keep OpenBLAS's own thread count. The count is process-wide, so the
+faster; a larger layer's pair step runs its truncations and singular values
+of at most that many rows inside it too. It finds the library once, through
+`ctypes` (this is the package's one native call), and does nothing when
+numpy has no bundled OpenBLAS. Only the similarity metrics are capped:
+`nets` and `threats`, and the rest of the work on layers of more rows, keep
+OpenBLAS's own thread count. The count is process-wide, so the
 cap assumes that one thread of the process does BLAS work at a time.
 """
 from __future__ import annotations
@@ -135,9 +137,10 @@ def _set_blas_threads(n: int) -> None:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count."""
+    """Run the block on one OpenBLAS thread, then restore the caller's count;
+    set nothing when OpenBLAS already runs one thread, as inside such a block."""
     before = _blas_threads()
-    if before is None:
+    if before is None or before == 1:
         yield
         return
     _set_blas_threads(1)

@@ -22,9 +22,11 @@ every grid's `SimilarityMatrix`, and `SimilarityMatrix.save` writes its
 CSV, JSON sidecar and heatmap.
 What each metric prepares, and what its pair step does:
 
-- linear CKA: the centered matrix, plus the n x n Gram and its norm for a
-  wide layer (p > n) or |X^T X|_F for a tall one. Two wide layers pair
-  through sum(K * L), any other pair through |Y^T X|_F^2.
+- linear CKA: the n x n Gram K and its norm for a wide layer (p > n),
+  which keeps no centered copy, or the centered matrix and |X^T X|_F for a
+  tall one. Two wide layers pair through sum(K * L), a wide and a tall one
+  through sum((K Y) * Y) and two tall ones through |Y^T X|_F^2, all equal
+  to |Y^T X|_F^2 (Kornblith et al. 2019).
 - online CKA: the centered matrix, the layer's self-HSIC summed over the
   batch schedule, and each batch's row norms and row sums. The pair step
   walks the same schedule and accumulates only the cross term over the same
@@ -42,7 +44,8 @@ What each metric prepares, and what its pair step does:
   columns into weights of the layers' leading principal directions, and
   takes the canonical correlations of those directions.
 - Procrustes: the centered, unit-norm `gram_factor` (n x n for a wide
-  layer); the pair step pads the narrower factor and takes the nuclear norm.
+  layer); the pair step takes the nuclear norm of the factors' product, a
+  rectangular matrix when their widths differ.
 
 A layer enters only through its n x n Gram, so the Gram and factor forms
 above, chosen from the shapes alone, equal the feature-space ones in exact
@@ -51,9 +54,12 @@ arithmetic and change no value beyond rounding.
 A layer of at most `_ONE_BLAS_THREAD_ROWS` (512) rows runs its prepare and
 pair steps on one OpenBLAS thread (`numerics._one_blas_thread`): there the
 second thread makes the small factorizations and products slower, and a
-small-probe grid's bits no longer depend on the caller's thread count. The
-cap does nothing when numpy has no bundled OpenBLAS. Larger layers, and
-`nets` and `threats`, keep OpenBLAS's own thread count.
+small-probe grid's bits no longer depend on the caller's thread count. A
+larger layer's pair step runs each small factorization the same way by its
+own rows: SVCCA's truncation of a factor, and the singular values of a pair
+matrix (mean CCA, SVCCA, Procrustes). The cap does nothing when numpy has no
+bundled OpenBLAS. The rest of a larger layer's work, and `nets` and
+`threats`, keep OpenBLAS's own thread count.
 """
 from __future__ import annotations
 
@@ -76,22 +82,26 @@ from .numerics import _one_blas_thread, center_columns, gram_factor, svd_truncat
 from .ppm import write_heatmap
 
 
-# A layer of at most this many rows runs its prepare and pair steps on one
-# OpenBLAS thread. Prepare plus the grid of four random float32 layers for
-# linear CKA, SVCCA and Procrustes (and mean CCA where n > p), best of 3,
-# two runs per side, OpenBLAS 0.3.31 on two x86-64 cores, 2 -> 1 threads:
+# A layer, or a factor or pair matrix that the pair step factorizes, of at
+# most this many rows runs on one OpenBLAS thread. Prepare plus the grid of
+# four random float32 layers for linear CKA, SVCCA and Procrustes (and mean
+# CCA where n > p), best of 3, two runs per side, OpenBLAS 0.3.31 on two
+# x86-64 cores, 2 -> 1 threads:
 # 96 x 2048 150-190 -> 92-95 ms, 256 x 2048 654-753 -> 514-623 ms,
 # 512 x 128 244-245 -> 169-180 ms and 1024 x 256 803-822 -> 672-688 ms;
 # 512 x 2048 broke even (2.41-2.74 -> 2.45-3.22 s over two series), and
 # 1024 x 2048 14.3-16.4 -> 20.2-20.6 s and 8192 x 256 2.04-2.45 ->
 # 2.54-2.71 s lost. SVDs and QRs gain most; large GEMMs and Grams still
-# gain from the second thread.
+# gain from the second thread. The SVD of an 8192 x 256 layer's 256 x 256
+# SVCCA factor took 15.5-15.6 ms on one thread against 17.5 on two, and the
+# singular values of a 256 x 256 pair matrix 8.0-8.1 ms against 9.4-9.5
+# (medians of 30, two series).
 _ONE_BLAS_THREAD_ROWS = 512
 
 
 def _blas_threads_for(n: int):
-    """One OpenBLAS thread for a layer of at most `_ONE_BLAS_THREAD_ROWS`
-    rows; OpenBLAS's own thread count above."""
+    """One OpenBLAS thread for work on at most `_ONE_BLAS_THREAD_ROWS` rows;
+    OpenBLAS's own thread count above."""
     return _one_blas_thread() if n <= _ONE_BLAS_THREAD_ROWS else nullcontext()
 
 
@@ -178,7 +188,8 @@ class PreparedLayer:
     layer's singular values (SVCCA).
     `centered` is a tall SVCCA layer's centered n x p matrix, kept next to
     the p x p factor in `matrix` to map its directions back to the n rows.
-    `gram` is a wide layer's n x n Gram (linear CKA), and `norm` the layer's
+    `gram` is a wide layer's n x n Gram (linear CKA), which is then also its
+    `matrix`: such a layer keeps no centered copy. `norm` is the layer's
     own denominator term: |X^T X|_F for linear CKA, the summed self-HSIC
     for online CKA. Online CKA keeps no batch: each step takes the rows
     `matrix[idx]` of the centered layer and scores them in feature space, or
@@ -208,10 +219,9 @@ def _prepare_linear_cka(kind, x):
         k = x @ x.T
         k = (k + k.T) / 2.0
         norm = float(np.sqrt((k * k).sum()))
-    else:
-        k = None
-        norm = float(np.linalg.norm(x.T @ x))
-    return PreparedLayer(kind, x, norm == 0.0, gram=k, norm=norm)
+        return PreparedLayer(kind, k, norm == 0.0, gram=k, norm=norm)
+    norm = float(np.linalg.norm(x.T @ x))
+    return PreparedLayer(kind, x, norm == 0.0, norm=norm)
 
 
 def _pair_linear_cka(kind, a, b):
@@ -219,8 +229,12 @@ def _pair_linear_cka(kind, a, b):
         return 0.0
     if a.gram is not None and b.gram is not None:
         num = float((a.gram * b.gram).sum())  # sum(K * L) = |Y^T X|_F^2
-    else:
+    elif a.gram is None and b.gram is None:
         num = float(np.linalg.norm(b.matrix.T @ a.matrix) ** 2)
+    else:
+        # a wide and a tall layer: |Y^T X|_F^2 = tr(Y^T K Y) = sum((K Y) * Y)
+        k, y = (a.gram, b.matrix) if b.gram is None else (b.gram, a.matrix)
+        num = float(((k @ y) * y).sum())
     return min(max(num / (a.norm * b.norm), 0.0), 1.0)
 
 
@@ -272,7 +286,8 @@ def _pair_online_cka(kind, a, b):
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of m, largest first."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        with _blas_threads_for(m.shape[0]):
+            return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
@@ -326,11 +341,16 @@ def _in_rows(layer, w: np.ndarray) -> np.ndarray:
     return w if layer.centered is None else layer.centered @ w
 
 
+def _truncate(kind, layer) -> np.ndarray:
+    with _blas_threads_for(layer.matrix.shape[0]):
+        return svd_truncate(layer.matrix, kind.variance_fraction)
+
+
 def _pair_svcca(kind, a, b):
     # both factors are square, so each truncation is one small SVD; a
     # degenerate layer is truncated too: the traced self-check pins two per cell
-    xt = svd_truncate(a.matrix, kind.variance_fraction)
-    yt = svd_truncate(b.matrix, kind.variance_fraction)
+    xt = _truncate(kind, a)
+    yt = _truncate(kind, b)
     _require_rows_over_cols(a.n, xt.shape[1], yt.shape[1])
     if a.degenerate or b.degenerate:
         return 0.0
@@ -353,12 +373,7 @@ def _prepare_procrustes(kind, x):
 def _pair_procrustes(kind, a, b):
     if a.degenerate or b.degenerate:
         return 0.0
-    x, y = a.matrix, b.matrix
-    if x.shape[1] < y.shape[1]:
-        x = np.pad(x, ((0, 0), (0, y.shape[1] - x.shape[1])))
-    elif y.shape[1] < x.shape[1]:
-        y = np.pad(y, ((0, 0), (0, x.shape[1] - y.shape[1])))
-    return min(max(2.0 * float(_singular_values(x.T @ y).sum()), 0.0), 2.0)
+    return min(max(2.0 * float(_singular_values(a.matrix.T @ b.matrix).sum()), 0.0), 2.0)
 
 
 # per metric: (prepare one centered layer, score a pair of prepared layers)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from rslab import activations as act
-from rslab import nets, threats, training
+from rslab import nets, simmetrics, threats, training
 from rslab.errors import (
     AlignmentError,
     BadMagicError,
@@ -347,6 +348,71 @@ def test_memory_budget_of_record_write_and_read(tmp_path):
     assert read_peak <= 1.1 * payload
 
 
+def test_a_dump_set_holds_no_payload_and_a_grid_one_raw_layer(tmp_path):
+    # read_dump keeps each record's place in the file, and a grid reads one
+    # record at a time to prepare it
+    net = nets.make_network("miniresnet", (1, 16, 16), classes=4, seed=0)
+    rng = np.random.default_rng(19)
+    probe = nets.Batch(rng.uniform(0, 1, (128, 1, 16, 16)), rng.integers(0, 4, 128))
+    path = tmp_path / "m.rsam"
+    act.write_dump(act.record_activations(net, probe), path)
+    metric = simmetrics.MetricKind("linear_cka")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = act.read_dump(path)
+        held = tracemalloc.get_traced_memory()[0] - base
+        prepared = [metric.prepare(r.matrix) for r in back.records]
+        layers = tracemalloc.get_traced_memory()[0] - base - held
+        del prepared
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        simmetrics.crosslayer_matrix(back, back, metric)
+        grid_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    payload = 4 * back.n * sum(r.p for r in back.records)
+    widest = max(r.p for r in back.records)
+    assert held <= 0.01 * payload
+    # the prepared layers, plus one float32 record and its float64 copy
+    assert grid_peak <= layers + 1.1 * (4 + 8) * back.n * widest
+
+
+def test_a_changed_dump_is_refused_on_the_next_read(tmp_path):
+    rng = np.random.default_rng(20)
+    s = random_set(rng, records=2)
+    # the same shapes with other values: a dump of the same size
+    other = act.ActivationSet(
+        [act.ActivationRecord(r.layer_name, r.layer_index, r.matrix + 1.0) for r in s.records],
+        s.labels, s.manifest,
+    )
+    path, spare = tmp_path / "d.rsam", tmp_path / "spare.rsam"
+
+    def truncate():
+        path.write_bytes(path.read_bytes()[:-1])
+
+    def rewrite():
+        before = os.stat(path).st_mtime_ns
+        act.write_dump(other, path)
+        # a filesystem with coarse timestamps may give a rewrite within one
+        # tick the old mtime; the check under test reads the stamp it finds
+        if os.stat(path).st_mtime_ns == before:
+            os.utime(path, ns=(before, before + 1))
+
+    def replace():
+        act.write_dump(other, spare)
+        os.replace(spare, path)
+
+    for change in (truncate, rewrite, replace):
+        act.write_dump(s, path)
+        back = act.read_dump(path)
+        assert np.array_equal(back.records[0].matrix, s.records[0].matrix)
+        change()
+        for r in back.records:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+                r.matrix
+
+
 def test_condition_json():
     # the manifest is the one place a dump states its condition; a benign
     # condition has no threat keys, and both dumps digest the clean probe
@@ -417,8 +483,12 @@ def test_roundtrip_after_recording(tmp_path):
     act.write_dump(s, path)
     back = act.read_dump(path)
     assert sets_equal(back, s)
-    # the records are the float32 taps, and reload as read-only views
+    # the records are the float32 taps; a reloaded record reads its payload
+    # from the file at each read, as an equal read-only float32 array
     for a, b in zip(s.records, back.records):
-        assert a.matrix.dtype == b.matrix.dtype == np.float32
-        assert not b.matrix.flags.writeable
-        assert a.matrix.tobytes() == b.matrix.tobytes()
+        first, second = b.matrix, b.matrix
+        assert first is not second and (b.n, b.p) == first.shape
+        for m in (first, second):
+            assert a.matrix.dtype == m.dtype == np.float32
+            assert not m.flags.writeable
+            assert a.matrix.tobytes() == m.tobytes()

@@ -436,7 +436,7 @@ def test_ppm_writer(tmp_path):
     path = str(tmp_path / "h.ppm")
     clamped = write_heatmap(path, np.array([[0.0, 0.5], [1.0, 2.0]]), 0.0, 1.0, scale=2)
     assert clamped  # the 2.0 cell is out of range
-    raw = open(path, "rb").read()
+    raw = (tmp_path / "h.ppm").read_bytes()
     assert raw.startswith(b"P6\n4 4\n255\n")
     assert len(raw) == len(b"P6\n4 4\n255\n") + 4 * 4 * 3
     assert not write_heatmap(path, np.array([[0.2]]), 0.0, 1.0)

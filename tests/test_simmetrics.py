@@ -740,7 +740,7 @@ def test_blas_threads_come_back_when_a_step_raises(monkeypatch):
 @pytest.mark.parametrize("metric", GRID_METRICS, ids=lambda m: m.name)
 def test_one_blas_thread_up_to_the_row_limit(monkeypatch, metric):
     _require_openblas()
-    caller = numerics._blas_threads()
+    before = numerics._blas_threads()
     setter = numerics._set_blas_threads
     calls = []
 
@@ -748,23 +748,34 @@ def test_one_blas_thread_up_to_the_row_limit(monkeypatch, metric):
         calls.append(n)
         setter(n)
 
-    monkeypatch.setattr(numerics, "_set_blas_threads", counted)
     rng = np.random.default_rng(46)
     limit = sm._ONE_BLAS_THREAD_ROWS
+    # above the limit only the pair step's small factorizations take one
+    # thread, each on its own: SVCCA's two 6 x 6 and 5 x 5 truncations and
+    # its canonical correlations, and the singular values of the 6 x 5 pair
+    # matrix of mean CCA and Procrustes
+    small = {"mean_cca": 1, "svcca": 3, "procrustes": 1}.get(metric.name, 0)
+    caller = 2  # a caller already on one thread has nothing to cap
+    once = [1, caller]
     pairs, scores = {}, {}
-    for n, capped in ((limit, True), (limit + 1, False)):
-        x, y = pairs[n] = rng.normal(size=(n, 6)), rng.normal(size=(n, 5))
-        once = [1, caller] if capped else []
-        calls.clear()
-        a, b = metric.prepare(x), metric.prepare(y)
-        assert calls == 2 * once
-        calls.clear()
-        scores[n] = metric.evaluate(a, b)
-        assert calls == once
-        calls.clear()
-        assert metric.evaluate(x, y) == scores[n]
-        assert calls == 3 * once  # both prepares and the pair step
-        assert numerics._blas_threads() == caller
+    try:
+        setter(caller)
+        monkeypatch.setattr(numerics, "_set_blas_threads", counted)
+        for n, capped in ((limit, True), (limit + 1, False)):
+            x, y = pairs[n] = rng.normal(size=(n, 6)), rng.normal(size=(n, 5))
+            prepare, pair = (once, once) if capped else ([], small * once)
+            calls.clear()
+            a, b = metric.prepare(x), metric.prepare(y)
+            assert calls == 2 * prepare
+            calls.clear()
+            scores[n] = metric.evaluate(a, b)
+            assert calls == pair
+            calls.clear()
+            assert metric.evaluate(x, y) == scores[n]
+            assert calls == 2 * prepare + pair  # both prepares and the pair step
+            assert numerics._blas_threads() == caller
+    finally:
+        setter(before)
     # without the library the steps run as they are, set nothing and score
     # the same: layers this narrow stay below OpenBLAS's threading sizes
     monkeypatch.setattr(numerics, "_openblas", lambda: None)
