@@ -37,12 +37,16 @@ What each metric prepares, and what its pair step does:
   2 px py <= m (px + py); only a batch wider than that forms m x m Grams.
 - mean CCA: the orthonormal basis of the centered column space; the pair
   step takes the singular values of Qx^T Qy.
-- SVCCA: a square factor with the centered layer's singular values: R^T
-  from the QR of a tall layer (p < n), which keeps the centered layer too,
-  or the n x n `gram_factor` of a wide or square one. The pair step
-  truncates both factors with `numerics.svd_truncate`, turns the truncated
-  columns into weights of the layers' leading principal directions, and
-  takes the canonical correlations of those directions.
+- SVCCA: a square factor V sqrt(lambda) with the centered layer's singular
+  values, from one eigendecomposition of its smaller Gram: p x p of X^T X
+  for a tall layer (p < n), which keeps the centered layer too, or n x n
+  of X X^T for a wide or square one. The pair step truncates both factors
+  with `numerics.svd_truncate`, itself one eigendecomposition of the
+  factor's Gram, turns the truncated columns into weights of the layers'
+  leading principal directions, and takes the canonical correlations of
+  those directions. Through the Gram a direction of singular value s is
+  resolved to about eps (s_max / s)^2, so only directions far below the
+  kept variance lose digits.
 - Procrustes: the centered, unit-norm `gram_factor` (n x n for a wide
   layer); the pair step takes the nuclear norm of the factors' product, a
   rectangular matrix when their widths differ.
@@ -55,9 +59,10 @@ A layer of at most `_ONE_BLAS_THREAD_ROWS` (512) rows runs its prepare and
 pair steps on one OpenBLAS thread (`numerics._one_blas_thread`): there the
 second thread makes the small factorizations and products slower, and a
 small-probe grid's bits no longer depend on the caller's thread count. A
-larger layer's pair step runs each small factorization the same way by its
-own rows: SVCCA's truncation of a factor, and the singular values of a pair
-matrix (mean CCA, SVCCA, Procrustes). The cap does nothing when numpy has no
+larger layer runs each small factorization the same way by its own rows:
+SVCCA's eigendecomposition of a tall layer's p x p Gram in `prepare` and
+its truncation of a factor, and the singular values of a pair matrix (mean
+CCA, SVCCA, Procrustes). The cap does nothing when numpy has no
 bundled OpenBLAS. The rest of a larger layer's work, and `nets` and
 `threats`, keep OpenBLAS's own thread count.
 """
@@ -78,7 +83,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import _one_blas_thread, center_columns, gram_factor, svd_truncate
+from .numerics import _gram_eigh, _one_blas_thread, center_columns, gram_factor, svd_truncate
 from .ppm import write_heatmap
 
 
@@ -95,7 +100,10 @@ from .ppm import write_heatmap
 # gain from the second thread. The SVD of an 8192 x 256 layer's 256 x 256
 # SVCCA factor took 15.5-15.6 ms on one thread against 17.5 on two, and the
 # singular values of a 256 x 256 pair matrix 8.0-8.1 ms against 9.4-9.5
-# (medians of 30, two series).
+# (medians of 30, two series). SVCCA's eigh of a 96 x 96 Gram took 0.87-1.26
+# ms on one thread against 0.90-1.23 on two, and of a 256 x 256 one 6.3-6.5
+# ms against 6.1-6.3 (medians of 30, two series of two): even at 96 and a
+# few per cent to two threads at 256, so the limit stays.
 _ONE_BLAS_THREAD_ROWS = 512
 
 
@@ -184,8 +192,9 @@ class PreparedLayer:
 
     `matrix` is what the pair step multiplies: the centered matrix (linear
     and online CKA), the orthonormal basis (mean CCA), the unit-norm
-    `gram_factor` (Procrustes), or the square factor with the centered
-    layer's singular values (SVCCA).
+    `gram_factor` (Procrustes), or the square factor V sqrt(lambda) from the
+    eigendecomposition of the centered layer's smaller Gram, which has the
+    layer's singular values and that Gram as its own (SVCCA).
     `centered` is a tall SVCCA layer's centered n x p matrix, kept next to
     the p x p factor in `matrix` to map its directions back to the n rows.
     `gram` is a wide layer's n x n Gram (linear CKA), which is then also its
@@ -320,10 +329,17 @@ def _pair_mean_cca(kind, a, b):
 
 def _prepare_svcca(kind, x):
     # factor once, but truncate in the pair step: the traced self-check in
-    # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell
+    # perfbench/workloads.py pins two `svd_truncate` calls per svcca cell.
+    # The factor is V sqrt(lambda) from the eigendecomposition of the smaller
+    # Gram: x^T x = V S^2 V^T of a tall x (p < n), a p x p factor with x's S
+    # and V, or x x^T = U S^2 U^T of a wide or square one, an n x n factor
+    # with f f^T = x x^T; through the Gram only directions far below the
+    # kept variance lose digits. The p x p eigh takes one thread by its rows.
     tall = x.shape[1] < x.shape[0]
-    # a tall x = Q R, so R^T = V S U_R^T has x's S and V; Q is never formed
-    f = np.linalg.qr(x, mode="r").T if tall else gram_factor(x)
+    g = x.T @ x if tall else x @ x.T
+    with _blas_threads_for(g.shape[0]):
+        lam, v = _gram_eigh(g)
+    f = v * np.sqrt(lam)
     return PreparedLayer(kind, f, not f.any(), centered=x if tall else None)
 
 

@@ -128,6 +128,18 @@ def principal_projection(m: np.ndarray, fraction: float) -> np.ndarray:
     return a[:, order[:k]]
 
 
+def graded_layer(rng, n: int = 512, p: int = 48, dead: int = 6) -> np.ndarray:
+    """A column-centered n x p test layer with `dead` all-zero columns (dead
+    units) and the others' singular values log-spaced from 1 to 1e-6."""
+    live = p - dead
+    u, _ = np.linalg.qr(centering_matrix(n) @ rng.normal(size=(n, live)))
+    v, _ = np.linalg.qr(rng.normal(size=(live, live)))
+    m = np.zeros((n, p))
+    cols = np.sort(rng.choice(p, live, replace=False))
+    m[:, cols] = (u * np.logspace(0.0, -6.0, live)) @ v.T
+    return m
+
+
 def nuclear_norm_jacobi(m: np.ndarray) -> float:
     return float(jacobi_singular_values(m).sum())
 

@@ -446,6 +446,21 @@ def test_compare_flag_of_another_metric_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_compare_failed_eigendecomposition_exits_4(tmp_path, capsys, monkeypatch):
+    dump = _synthetic_dump(tmp_path, 4, 16, (3, 20))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code = run_cli("compare", "--a", dump, "--b", dump, "--metric", "svcca",
+                   "--out", str(tmp_path / "c"))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "numerical"
+    assert "Traceback" not in err
+
+
 def test_compare_online_cka_defaults_come_from_the_metric(tmp_path):
     dump = _synthetic_dump(tmp_path, 3, 40, (3, 5, 7))
     outs = [str(tmp_path / "implicit"), str(tmp_path / "explicit")]

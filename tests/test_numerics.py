@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rslab import numerics
-from rslab.errors import ShapeError, ValidationError
+from rslab.errors import NumericalError, ShapeError, ValidationError
 from rslab.simmetrics import MetricKind, _singular_values
 
 import oracles
@@ -120,8 +120,10 @@ def test_svd_truncate_full_fraction_preserves_span():
     rng = np.random.default_rng(6)
     m = numerics.center_columns(rng.normal(size=(10, 4)))
     proj = numerics.svd_truncate(m, 1.0)
-    _, _, vt = np.linalg.svd(m, full_matrices=False)
-    recon = proj @ vt[: proj.shape[1]]
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    # svd_truncate's columns equal U_k S_k only up to sign
+    signs = np.sign((proj * u[:, : proj.shape[1]]).sum(axis=0))
+    recon = (proj * signs) @ vt[: proj.shape[1]]
     assert np.abs(recon - m).max() <= 1e-9
 
 
@@ -145,12 +147,13 @@ def test_svd_truncate_count_matches_cumsum_oracle():
 
 def test_svd_truncate_tall_matches_jacobi_projection():
     # tall and rank deficient: three all-zero columns, like dead ReLU units;
-    # and square, the shape of the factors SVCCA truncates
+    # square, the shape of the factors SVCCA truncates; and a graded
+    # spectrum down to 1e-6, whose small directions the Gram resolves worst
     rng = np.random.default_rng(8)
     tall = numerics.center_columns(rng.normal(size=(64, 12)))
     tall[:, [2, 7, 11]] = 0.0
     square = numerics.center_columns(rng.normal(size=(12, 12)))
-    for m in (tall, square):
+    for m in (tall, square, oracles.graded_layer(rng)):
         for frac in (0.5, 0.9, 0.99, 1.0):
             proj = numerics.svd_truncate(m, frac)
             expected = oracles.principal_projection(m, frac)
@@ -158,6 +161,20 @@ def test_svd_truncate_tall_matches_jacobi_projection():
             signs = np.sign((proj * expected).sum(axis=0))
             assert np.abs(proj - expected * signs).max() <= 1e-10
     assert np.array_equal(numerics.svd_truncate(np.zeros((64, 12)), 0.9), np.zeros((64, 1)))
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_failed_eigendecomposition_is_numerical_error(monkeypatch):
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    with pytest.raises(NumericalError):
+        numerics.svd_truncate(np.eye(3), 0.9)
+    for shape in ((20, 5), (8, 30)):  # SVCCA factors a tall and a wide layer
+        with pytest.raises(NumericalError):
+            MetricKind("svcca").prepare(rng.normal(size=shape))
 
 
 def test_svd_truncate_rejects_bad_fraction():

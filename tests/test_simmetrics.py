@@ -319,6 +319,14 @@ def test_svcca_matches_composed_oracles():
         yt = oracles.principal_projection(h @ y, 0.9)
         expected = float(oracles.cca_ascent(xt, yt).mean())
         assert metric.evaluate(x, y) == pytest.approx(expected, abs=1e-10)
+    # two 512 x 48 layers with dead units and singular values from 1 to 1e-6
+    x, y = oracles.graded_layer(rng), oracles.graded_layer(rng)
+    for frac in (0.9, 0.99):
+        xt = oracles.principal_projection(x, frac)
+        yt = oracles.principal_projection(y, frac)
+        expected = float(oracles.cca_ascent(xt, yt).mean())
+        graded = sm.MetricKind("svcca", variance_fraction=frac)
+        assert graded.evaluate(x, y) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +605,15 @@ def test_crosslayer_prepared_equals_raw_evaluate(metric, n, widths):
             assert flags[-1].all() and flags[:, -1].all()
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=sm):
     calls = []
-    fn = getattr(sm, name)
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(sm, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -642,24 +650,19 @@ def test_crosslayer_prepares_each_layer_once(monkeypatch):
     assert len(truncations) == 2 * (4 * 5 // 2)
     sm.crosslayer_matrix(a, b, sm.MetricKind("svcca", variance_fraction=0.9))
     assert len(truncations) == 2 * (4 * 5 // 2) + 2 * 4 * 3
-    # but each layer is factored once per grid: one QR per tall layer, or
-    # one inside `gram_factor` per wide one; no layer here is square, and
-    # the truncations of the square factors run no QR
+    # but each layer is factored once per grid: one eigendecomposition of
+    # its smaller Gram per layer, tall or wide, beside the one inside each of
+    # the cell's two truncations; an SVCCA grid runs no QR
     z = rng.normal(size=(16, 2))
     c = _set_with_constant_layer(rng, z, (40, 24, 5), "c")
     d = _set_with_constant_layer(rng, z, (3, 30), "d")
-    factorings = []
-    qr = np.linalg.qr
-
-    def counted_qr(*args, **kwargs):
-        factorings.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    eighs = _count_calls(monkeypatch, "eigh", np.linalg)
+    qrs = _count_calls(monkeypatch, "qr", np.linalg)
     sm.crosslayer_matrix(c, c, sm.MetricKind("svcca", variance_fraction=0.9))
-    assert len(factorings) == 4
+    assert len(eighs) == 4 + 2 * (4 * 5 // 2)
     sm.crosslayer_matrix(c, d, sm.MetricKind("svcca", variance_fraction=0.9))
-    assert len(factorings) == 4 + 4 + 3
+    assert len(eighs) == 4 + 2 * (4 * 5 // 2) + 4 + 3 + 2 * 4 * 3
+    assert qrs == []
 
 
 def test_svcca_row_mismatch_raises():
@@ -733,6 +736,18 @@ def test_blas_threads_come_back_when_a_step_raises(monkeypatch):
         with pytest.raises(NumericalError):  # the pair step
             PROCRUSTES.evaluate(a, b)
         assert numerics._blas_threads() == 2
+
+        def no_eigh(g):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        svcca = sm.MetricKind("svcca")
+        # SVCCA's prepare under the layer's cap, and under the p x p Gram's
+        # own cap on a layer above the row limit
+        for n in (12, sm._ONE_BLAS_THREAD_ROWS + 1):
+            with pytest.raises(NumericalError):
+                svcca.prepare(rng.normal(size=(n, 3)))
+            assert numerics._blas_threads() == 2
     finally:
         numerics._set_blas_threads(caller)
 
@@ -750,20 +765,22 @@ def test_one_blas_thread_up_to_the_row_limit(monkeypatch, metric):
 
     rng = np.random.default_rng(46)
     limit = sm._ONE_BLAS_THREAD_ROWS
-    # above the limit only the pair step's small factorizations take one
-    # thread, each on its own: SVCCA's two 6 x 6 and 5 x 5 truncations and
-    # its canonical correlations, and the singular values of the 6 x 5 pair
+    # above the limit only the small factorizations take one thread, each on
+    # its own: SVCCA's eigendecomposition of each layer's 6 x 6 or 5 x 5
+    # Gram in prepare, and in the pair step its two truncations and its
+    # canonical correlations, and the singular values of the 6 x 5 pair
     # matrix of mean CCA and Procrustes
     small = {"mean_cca": 1, "svcca": 3, "procrustes": 1}.get(metric.name, 0)
     caller = 2  # a caller already on one thread has nothing to cap
     once = [1, caller]
+    small_prepare = once if metric.name == "svcca" else []
     pairs, scores = {}, {}
     try:
         setter(caller)
         monkeypatch.setattr(numerics, "_set_blas_threads", counted)
         for n, capped in ((limit, True), (limit + 1, False)):
             x, y = pairs[n] = rng.normal(size=(n, 6)), rng.normal(size=(n, 5))
-            prepare, pair = (once, once) if capped else ([], small * once)
+            prepare, pair = (once, once) if capped else (small_prepare, small * once)
             calls.clear()
             a, b = metric.prepare(x), metric.prepare(y)
             assert calls == 2 * prepare
